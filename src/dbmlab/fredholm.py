@@ -9,6 +9,7 @@ well conditioned.  Nodes double until two successive determinants agree to
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,15 +20,10 @@ from .kernel import KernelEvaluator, kernel_matrix, sine_kernel
 _M_CAP = 512
 _ABS_TOL = 1e-8
 
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _LEGENDRE_CACHE.get(m)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(m)
-        _LEGENDRE_CACHE[m] = got
-    return got
+    return np.polynomial.legendre.leggauss(m)
 
 
 class GapProblem:

@@ -387,33 +387,90 @@ def _y_scalar(mu, t, x):
     return 0.5 * (lo + hi)
 
 
-def _chunked_rows(m, n, budget=4_000_000):
+def _chunked_rows(n, budget=4_000_000):
     return max(1, budget // max(n, 1))
 
 
-def _lorentz_points_many(pts, xs, ys):
-    out = np.empty(xs.size)
-    block = _chunked_rows(xs.size, pts.size)
+def _node_lorentz_sums(nodes, weights, xs, big_y):
+    """L = sum w / ((x - s)^2 + Y) and M = -dL/dY = sum w / ((x - s)^2 + Y)^2."""
+    lsum = np.empty(xs.size)
+    msum = np.empty(xs.size)
+    # 1 MB blocks: Newton's active set shrinks every step, and larger
+    # temporaries of changing size stay resident on the malloc heap
+    block = _chunked_rows(nodes.size, budget=1 << 17)
     for i in range(0, xs.size, block):
         sl = slice(i, i + block)
-        d2 = (xs[sl, None] - pts[None, :]) ** 2 + ys[sl, None] ** 2
-        out[sl] = np.mean(1.0 / d2, axis=1)
-    return out
+        inv = 1.0 / ((xs[sl, None] - nodes[None, :]) ** 2 + big_y[sl, None])
+        lsum[sl] = inv @ weights
+        msum[sl] = np.multiply(inv, inv, out=inv) @ weights
+    return lsum, msum
 
 
-def _bisect_profile(f, t, xs):
-    """Vectorized height bisection: f(xs, ys) -> Lorentzian integrals."""
-    st = math.sqrt(t)
-    target = 1.0 / t
-    mask = f(xs, np.full_like(xs, st * 1e-14)) > target
-    lo = np.zeros_like(xs)
-    hi = np.full_like(xs, st)
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        high = f(xs, mid) > target
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-    return np.where(mask, 0.5 * (lo + hi), 0.0)
+def _closed_lorentz_sums(mu, xs, big_y):
+    """L and M = -dL/dY for the semicircle and uniform kinds, from G and G'.
+
+    With z = x + iy, L = -Im G(z)/y and M = (Re G'(z) + L)/(2y^2).  The
+    latter cancels to nothing when y is far below the distance from x to
+    the support; there M is replaced by M(0) = int dmu/(x - s)^4, which
+    exceeds M by a relative 2y^2/dist^2 at most, so Newton steps taken
+    with it stay below the root.
+    """
+    y = np.sqrt(big_y)
+    z = xs + 1j * y
+    lo, hi = mu.support[0]
+    if mu.kind == "semicircle":
+        (v,) = mu.params
+        w = np.sqrt(z - hi) * np.sqrt(z + hi)
+        lsum = -np.imag(_stieltjes_closed(mu, z)) / y
+        dg = (1.0 - z / w) / (2.0 * v)
+    else:
+        # the angle from z - lo to z - hi in one arctan2: left of the support
+        # Im log(z - hi) - Im log(z - lo) cancels two values near pi
+        angle = np.arctan2(y * (hi - lo), (xs - lo) * (xs - hi) + big_y)
+        lsum = angle / ((hi - lo) * y)
+        dg = (1.0 / (z - lo) - 1.0 / (z - hi)) / (hi - lo)
+    msum = (np.real(dg) + lsum) / (2.0 * big_y)
+    far = y < 1e-4 * np.maximum(np.maximum(lo - xs, xs - hi), 0.0)
+    if np.any(far):
+        x = xs[far]
+        if mu.kind == "semicircle":
+            msum[far] = np.abs(x) / (x * x - hi * hi) ** 2.5
+        else:
+            msum[far] = ((x - hi) ** -3 - (x - lo) ** -3) / (3.0 * (hi - lo))
+    return lsum, msum
+
+
+_NEWTON_CAP = 64
+
+
+def _newton_heights(sums, t, xs):
+    """Heights y >= 0 with L(y^2) = 1/t, and 0 where no positive one exists.
+
+    ``sums(X, Y)`` returns L(Y) = int dmu(s)/((X - s)^2 + Y) and
+    M = -dL/dY.  As a harmonic mean of functions affine in Y, h = 1/L is
+    concave and increasing (Biane, Indiana Univ. Math. J. 46, 1997), so
+    Newton on h(Y) = t, started below the root, rises monotonically to it.
+    """
+    y_floor = math.sqrt(t) * 1e-14
+    big_y = np.full(xs.shape, y_floor * y_floor)
+    lsum, msum = sums(xs, big_y)
+    ys = np.zeros_like(xs)
+    idx = np.nonzero(lsum > 1.0 / t)[0]
+    big_y, lsum, msum = big_y[idx], lsum[idx], msum[idx]
+    for _ in range(_NEWTON_CAP):
+        step = lsum * (t * lsum - 1.0) / msum
+        if not np.all(np.isfinite(step)):
+            raise NonConvergence("subordination height: non-finite Newton step")
+        moving = step > 4.0 * np.spacing(big_y)
+        ys[idx[~moving]] = np.sqrt(big_y[~moving])
+        idx, big_y = idx[moving], big_y[moving] + step[moving]
+        if idx.size == 0:
+            return ys
+        lsum, msum = sums(xs[idx], big_y)
+    raise NonConvergence(
+        f"subordination height: Newton did not settle in {_NEWTON_CAP} steps "
+        f"at {idx.size} points, t={t:g}"
+    )
 
 
 class FreeConvolutionState:
@@ -503,35 +560,22 @@ class FreeConvolutionState:
         return self._shared_nodes
 
     def _y_profile(self, xs):
+        return _newton_heights(self._lorentz_sums, self.t, xs)
+
+    def _lorentz_sums(self, xs, big_y):
         pts = _atoms(self.mu)
         if pts is not None:
-            return _bisect_profile(
-                lambda X, Y: _lorentz_points_many(pts, X, Y), self.t, xs
-            )
+            weights = np.full(pts.size, 1.0 / pts.size)
+            return _node_lorentz_sums(pts, weights, xs, big_y)
         if self.mu.kind in ("semicircle", "uniform"):
-            def f(X, Y):
-                g = _stieltjes_closed(self.mu, X + 1j * Y)
-                return -np.imag(g) / Y
-
-            return _bisect_profile(f, self.t, xs)
-        s, wd = self._shared_quadrature()
-
-        def f(X, Y):
-            out = np.empty(X.size)
-            block = _chunked_rows(X.size, s.size)
-            for i in range(0, X.size, block):
-                sl = slice(i, i + block)
-                d2 = (X[sl, None] - s[None, :]) ** 2 + Y[sl, None] ** 2
-                out[sl] = np.sum(wd[None, :] / d2, axis=1)
-            return out
-
-        return _bisect_profile(f, self.t, xs)
+            return _closed_lorentz_sums(self.mu, xs, big_y)
+        return _node_lorentz_sums(*self._shared_quadrature(), xs, big_y)
 
     def _h_profile(self, xs, ys):
         pts = _atoms(self.mu)
         if pts is not None:
             out = np.empty(xs.size)
-            block = _chunked_rows(xs.size, pts.size)
+            block = _chunked_rows(pts.size)
             for i in range(0, xs.size, block):
                 sl = slice(i, i + block)
                 dx = xs[sl, None] - pts[None, :]
@@ -543,7 +587,7 @@ class FreeConvolutionState:
             return xs + self.t * np.real(g)
         s, wd = self._shared_quadrature()
         out = np.empty(xs.size)
-        block = _chunked_rows(xs.size, s.size)
+        block = _chunked_rows(s.size)
         for i in range(0, xs.size, block):
             sl = slice(i, i + block)
             dx = xs[sl, None] - s[None, :]

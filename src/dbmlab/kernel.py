@@ -17,6 +17,7 @@ what the rescaled observation frames use.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -27,19 +28,14 @@ from .freeconv import FreeConvolutionState, Window, window_scale
 from .measures import EmpiricalMeasure, InitialConfiguration
 from .panels import panel_nodes
 
-_HERMGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 # e^-60: below any tolerance this module promises, with margin for sums
 _DROP_CUTOFF = 60.0
 
 
+@functools.cache
 def _hermgauss(m: int):
-    got = _HERMGAUSS_CACHE.get(m)
-    if got is None:
-        # numpy's hermgauss overflows above a few hundred nodes
-        got = sp_roots_hermite(m)
-        _HERMGAUSS_CACHE[m] = got
-    return got
+    # numpy's hermgauss overflows above a few hundred nodes
+    return sp_roots_hermite(m)
 
 
 def sine_kernel(u, v):
@@ -349,6 +345,7 @@ class RescaledKernelFrame:
         self._vref: dict[float, float] = {}
         self._pairs: dict[tuple[float, float], float] = {}
         self._lump_cache = None
+        self._far_lumps: dict[tuple[int, int], tuple | None] = {}
         self.evaluator.x0 = float(self._saddle(0.0).real)
 
     # -- geometry ----------------------------------------------------------
@@ -372,7 +369,11 @@ class RescaledKernelFrame:
         block = max(1, int(2_000_000 / max(1, self.n)))
         for i in range(0, q.size, block):
             sl = slice(i, i + block)
-            b[sl] += np.sum(np.log(q[sl, None] - self.points[None, :]), axis=1)
+            # sum of log(q - a) in real arithmetic, on the same principal branch
+            dx = q.real[sl, None] - self.points[None, :]
+            dy = q.imag[sl, None]
+            b[sl] += 0.5 * np.sum(np.log(dx * dx + dy * dy), axis=1)
+            b[sl] += 1j * np.sum(np.arctan2(dy, dx), axis=1)
         return b, (n / t) * (q - xst)
 
     def _phi_hat_scalar(self, q: complex, a: float) -> complex:
@@ -388,7 +389,7 @@ class RescaledKernelFrame:
             self._vref[v] = ref
         return ref
 
-    def _beta(self, u: float, x0: float, s: float) -> float:
+    def _beta(self, x0: float, s: float) -> float:
         d2 = (x0 - self.points) ** 2
         if s > 0.0:
             val = 2.0 * self.n * s * s * float(np.mean(1.0 / (d2 + s * s) ** 2))
@@ -419,7 +420,7 @@ class RescaledKernelFrame:
 
     # -- contour quadrature --------------------------------------------------
 
-    def _z_line(self, u: float, x0: float, s: float, width: float, level: int):
+    def _z_line(self, x0: float, s: float, width: float, level: int):
         """Positive-sigma half of the vertical line: midpoints and cell widths.
 
         The fine band uses a spacing that divides the crossing height exactly,
@@ -501,33 +502,46 @@ class RescaledKernelFrame:
             mids.append(right[1])
         return np.concatenate(verts), np.concatenate(mids)
 
+    def _lump_nodes(self, lo, hi, x0, s, width, level, is_home):
+        """One lump's loop nodes and steps, with B and L at the nodes."""
+        vx, mx = self._lump_grid(lo, hi, x0, s, width, level, is_home)
+        if vx.size < 2:
+            return None
+        ally = self.state._y_profile(np.concatenate([vx, mx]))
+        nodes = mx + 1j * ally[vx.size :]
+        return (nodes, np.diff(vx + 1j * ally[: vx.size]), *self._phi_parts(nodes))
+
     def _w_contour(self, x0: float, s: float, width: float, level: int):
-        """Upper half of the loop as parameter-midpoint nodes and steps."""
-        nodes, steps = [], []
-        for lo, hi in self._lumps():
+        """Upper half of the loop: parameter-midpoint nodes, steps, B and L."""
+        parts = []
+        for k, (lo, hi) in enumerate(self._lumps()):
             if hi <= lo:
                 continue
-            is_home = lo <= x0 <= hi
-            vx, mx = self._lump_grid(lo, hi, x0, s, width, level, is_home)
-            if vx.size < 2:
-                continue
-            ally = self.state._y_profile(np.concatenate([vx, mx]))
-            v = vx + 1j * ally[: vx.size]
-            nodes.append(mx + 1j * ally[vx.size :])
-            steps.append(np.diff(v))
-        if not nodes:
-            return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
-        return np.concatenate(nodes), np.concatenate(steps)
+            if lo <= x0 <= hi:
+                part = self._lump_nodes(lo, hi, x0, s, width, level, True)
+            else:
+                # away from x0 a lump's grid depends on (lump, level) alone
+                key = (k, level)
+                if key not in self._far_lumps:
+                    self._far_lumps[key] = self._lump_nodes(
+                        lo, hi, x0, s, width, level, False
+                    )
+                part = self._far_lumps[key]
+            if part is not None:
+                parts.append(part)
+        if not parts:
+            return (np.empty(0, dtype=complex),) * 4
+        return tuple(np.concatenate(arrs) for arrs in zip(*parts))
 
     def _column(self, u: float, vs: np.ndarray, level: int):
         n, t, h = self.n, self.t, self.h
         zs = self._saddle(u)
         x0, s = float(zs.real), float(zs.imag)
-        beta = self._beta(u, x0, s)
+        beta = self._beta(x0, s)
         width = 1.0 / math.sqrt(beta)
 
         ref_z = self._phi_hat_scalar(zs, u).real
-        sig, wsig = self._z_line(u, x0, s, width, level)
+        sig, wsig = self._z_line(x0, s, width, level)
         zq = x0 + 1j * sig
         bz, lz = self._phi_parts(zq)
         phi_z = bz - h * u * lz
@@ -535,11 +549,11 @@ class RescaledKernelFrame:
         zq, wsig, phi_z = zq[keep], wsig[keep], phi_z[keep]
         ez = np.exp(phi_z - ref_z)
         # lower half by reflection: phi has real coefficients
-        z_all = np.concatenate([zq, np.conj(zq)])
+        nz = zq.size
         ez_all = np.concatenate([ez, np.conj(ez)])
         w_all = np.concatenate([wsig, wsig])
 
-        wn, wst = self._w_contour(x0, s, width, level)
+        wn, wst, bw, lw = self._w_contour(x0, s, width, level)
         ref_w = np.array([self._v_ref(v) for v in vs])
         theta = h * n * s / t
         du = u - vs
@@ -548,7 +562,6 @@ class RescaledKernelFrame:
         if wn.size == 0:
             return a_row, 0.0
 
-        bw, lw = self._phi_parts(wn)
         phi_w = bw[:, None] - (h * lw)[:, None] * vs[None, :]
         drop = ref_w[None, :] - phi_w.real
         keep_w = np.any(drop > -_DROP_CUTOFF, axis=1)
@@ -559,13 +572,18 @@ class RescaledKernelFrame:
             ew = np.exp(ref_w[None, :] - phi_w)
         q = wst[:, None] * ew
 
-        tmat = np.zeros((z_all.size, vs.size), dtype=complex)
-        block = max(1, int(1_500_000 / max(1, z_all.size)))
+        tmat = np.zeros((2 * nz, vs.size), dtype=complex)
+        block = max(1, int(1_500_000 / max(1, 2 * nz)))
         for i in range(0, wn.size, block):
             sl = slice(i, i + block)
-            d1 = 1.0 / (z_all[:, None] - wn[None, sl])
-            d2 = 1.0 / (z_all[:, None] - np.conj(wn[None, sl]))
-            tmat += d2 @ np.conj(q[sl]) - d1 @ q[sl]
+            d1 = 1.0 / (zq[:, None] - wn[None, sl])
+            d2 = 1.0 / (zq[:, None] - np.conj(wn[None, sl]))
+            qs, qc = q[sl], np.conj(q[sl])
+            tmat[:nz] += d2 @ qc - d1 @ qs
+            # at conj(zq) the Cauchy blocks are exactly conj(d2) and conj(d1);
+            # the lower half keeps its own two products instead of reusing the
+            # upper half's, so the imaginary residual below still sums both
+            tmat[nz:] += np.conj(d1) @ qc - np.conj(d2) @ qs
 
         ssum = 1j * ((w_all * ez_all) @ tmat)
         gauge = (n * h / t) * du * (x0 - self.window.x_star_t)

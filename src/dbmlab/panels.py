@@ -9,16 +9,15 @@ node count stays O(order * log(range/floor)).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _gl(order):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = leggauss(order)
-    return _GL_CACHE[order]
+    return leggauss(order)
 
 
 def graded_edges(a, b, special=(), floor=None, max_levels=48):

@@ -207,6 +207,83 @@ def test_y_t_grows_with_t():
         assert y2 > y1 - 1e-12
 
 
+def _bisected_heights(lorentz, t, xs):
+    """Reference profile: 60 bisection sweeps of y on [0, sqrt(t)] per point."""
+    root_t = math.sqrt(t)
+    out = np.zeros(len(xs))
+    for i, x in enumerate(xs):
+        if not lorentz(x, root_t * 1e-14) > 1.0 / t:
+            continue
+        lo, hi = 0.0, root_t
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if lorentz(x, mid) > 1.0 / t:
+                lo = mid
+            else:
+                hi = mid
+        out[i] = 0.5 * (lo + hi)
+    return out
+
+
+def _atomic_case(points, t):
+    pts = np.asarray(points, dtype=float)
+    xs = np.concatenate([pts, 0.5 * (pts[1:] + pts[:-1]), np.linspace(-1.5, 1.5, 61)])
+
+    def lorentz(x, y):
+        return float(np.mean(1.0 / ((x - pts) ** 2 + y * y)))
+
+    return EmpiricalMeasure(pts), t, xs, lorentz
+
+
+def _closed_case(mu, t, xs):
+    def lorentz(x, y):
+        return -stieltjes(mu, complex(x, y)).imag / y
+
+    return mu, t, np.asarray(xs, dtype=float), lorentz
+
+
+def _power_case(t):
+    mu = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
+    s, wd = FreeConvolutionState(mu, t)._shared_quadrature()
+
+    def lorentz(x, y):
+        return float(np.sum(wd / ((x - s) ** 2 + y * y)))
+
+    return mu, t, np.linspace(-1.5, 1.5, 61), lorentz
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # bulk, then separated lumps: x on atoms, between them, off the support
+        lambda: _atomic_case(
+            InitialConfiguration.from_quantiles(UNIFORM, 50).points, 0.5
+        ),
+        lambda: _atomic_case(
+            InitialConfiguration.equispaced(-1.0, 1.0, 40).with_gap(0.0, 0.3).points,
+            0.01 * 0.3**2,
+        ),
+        lambda: _closed_case(SEMI, 0.3, np.linspace(-3.0, 3.0, 61)),
+        # points outside [-1, 1] with positive heights, where Newton starts
+        # far below their distance to the support
+        lambda: _closed_case(
+            UNIFORM,
+            0.5,
+            np.append(np.linspace(-1.3, 1.3, 53), [-1.224, -1.21, -1.01, 1.001]),
+        ),
+        lambda: _power_case(0.2285),
+    ],
+    ids=["atoms-bulk", "atoms-gap", "semicircle", "uniform", "power-half"],
+)
+def test_y_profile_matches_bisection(case):
+    mu, t, xs, lorentz = case()
+    got = FreeConvolutionState(mu, t)._y_profile(xs)
+    ref = _bisected_heights(lorentz, t, xs)
+    np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+    assert 0.0 < np.count_nonzero(ref) < xs.size
+    assert np.max(np.abs(got - ref)) <= 1e-14 * math.sqrt(t)
+
+
 # ---------------------------------------------------------------- maps
 
 def test_H_map_single_atom():

@@ -346,6 +346,40 @@ class TestRescaledFrame:
         for u, v in ((0.0, 0.0), (2.0, -1.0)):
             assert abs(frame.value(u, v)) <= 1e-6
 
+    def test_power_half_diagonal_matches_lagrange(self):
+        # kappa = 1/2 at criterion 7's t_n; the diagonal carries no gauge
+        mu = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
+        n = 50
+        t = 0.05 * n ** (-1.0 / 3.0) * math.log(n) ** 2
+        cfg = InitialConfiguration.from_quantiles(mu, n)
+        frame = RescaledKernelFrame(cfg, t, make_window(mu, t, 0.0))
+        ev = KernelEvaluator(cfg, t)
+        for u in (-1.5, 0.0, 1.0):
+            x = frame.window.x_star_t + frame.h * u
+            ref = frame.h * kernel_lagrange(ev, x, x)
+            got = frame.value(u, u)
+            assert abs(got - ref) <= max(1e-6, 1e-4 * abs(ref)), (u, got, ref)
+
+    @pytest.mark.parametrize("bulk", [False, True], ids=["gap", "bulk-far-lump"])
+    def test_rows_do_not_depend_on_order(self, bulk):
+        # Loop lumps away from a row's anchor are cached per refinement
+        # level; a fresh frame asked for its rows in reverse order must
+        # reproduce every value bit for bit.  The bulk window sits in one
+        # cluster, so the other cluster's lump is a cached one.
+        cfg = InitialConfiguration.equispaced(-1.0, 1.0, 40).with_gap(0.0, 0.3)
+        if bulk:
+            t = 0.05
+            window = make_window(cfg.empirical(), t, 0.6)
+        else:
+            t = 0.01 * 0.3**2
+            window = gap_window(cfg, t, 0.0, epsilon=0.03)
+        us = [-1.0, 0.0, 1.0]
+        forward = RescaledKernelFrame(cfg, t, window).values(us, us)
+        backward = RescaledKernelFrame(cfg, t, window).values(us[::-1], us)
+        np.testing.assert_array_equal(forward, backward[::-1])
+        if bulk:
+            assert np.all(np.diag(forward) > 0.5)
+
     def test_frame_json_fields(self):
         frame = self.make_single_atom_frame()
         frame.value(0.0, 0.0)
