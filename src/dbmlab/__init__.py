@@ -17,7 +17,6 @@ from .measures import (  # noqa: F401
 from .freeconv import (  # noqa: F401
     FreeConvolutionState,
     SaddlePair,
-    StieltjesEvaluator,
     Window,
     forward_map,
     gap_window,

@@ -38,7 +38,6 @@ from .measures import EmpiricalMeasure, InitialConfiguration, MeasureSpec
 from .panels import graded_edges, panel_nodes
 
 __all__ = [
-    "StieltjesEvaluator",
     "FreeConvolutionState",
     "Window",
     "SaddlePair",
@@ -116,7 +115,11 @@ def _stieltjes_closed(mu, z):
         w = np.sqrt(z - e) * np.sqrt(z + e)
         return (z - w) / (2.0 * v)
     a, b = mu.support[0]
-    return (np.log(z - a) - np.log(z - b)) / (b - a)
+    # Im G from the angle between z - a and z - b in one arctan2: left of
+    # the support Im log(z - a) - Im log(z - b) cancels two values near pi
+    x, y = z.real, z.imag
+    angle = np.arctan2(y * (b - a), (x - a) * (x - b) + y * y)
+    return ((np.log(z - a) - np.log(z - b)).real - 1j * angle) / (b - a)
 
 
 def _panel_edges(a, b, span, sharp=(), soft=(), soft_floor=None):
@@ -128,18 +131,21 @@ def _panel_edges(a, b, span, sharp=(), soft=(), soft_floor=None):
     return edges
 
 
-def _cauchy_panels(mu, z):
-    """int density(s)/(z - s) ds by panels graded toward Re z and the kinks."""
-    zz = complex(z)
+def _panel_rule(mu, x, y):
+    """Nodes s and weights w * density(s) for integrals against mu near x + iy.
+
+    Each piece of the support is graded toward its kinks, and toward x
+    (clipped into the piece) down to half of max(|y|, dist(x, piece)).
+    """
     hull_lo, hull_hi = mu.hull()
     span = max(hull_hi - hull_lo, 1e-12)
     kinks = mu.kink_points()
-    total = 0.0 + 0.0j
+    nodes, weights = [], []
     for a, b in mu.support:
         if not b > a:
             continue
-        anchor = min(max(zz.real, a), b)
-        dist = max(abs(zz.imag), _interval_distance(zz.real, a, b))
+        anchor = min(max(x, a), b)
+        dist = max(abs(y), _interval_distance(x, a, b))
         floor = max(0.5 * dist, 1e-13 * span)
         edges = _panel_edges(
             a, b, span,
@@ -148,8 +154,16 @@ def _cauchy_panels(mu, z):
             soft_floor=floor,
         )
         s, w = panel_nodes(edges)
-        total += complex(np.sum(w * mu.density(s) / (zz - s)))
-    return total
+        nodes.append(s)
+        weights.append(w * mu.density(s))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _cauchy_panels(mu, z):
+    """int density(s)/(z - s) ds on the panel rule at z."""
+    zz = complex(z)
+    s, wd = _panel_rule(mu, zz.real, zz.imag)
+    return complex(np.sum(wd / (zz - s)))
 
 
 def _stieltjes_spec(mu, zz):
@@ -178,18 +192,6 @@ def stieltjes(mu, z):
         terms = 1.0 / (zz - pts)
         return complex(math.fsum(terms.real), math.fsum(terms.imag)) / pts.size
     return _stieltjes_spec(mu, zz)
-
-
-@dataclass(frozen=True)
-class StieltjesEvaluator:
-    """Callable G for a fixed source measure with a fixed quadrature budget."""
-
-    source: object
-    order: int = 16
-    tolerance: float = 1e-10
-
-    def __call__(self, z):
-        return stieltjes(self.source, z)
 
 
 # --------------------------------------------------------------------------
@@ -330,16 +332,8 @@ def second_moment_integral(mu, x):
         kappa, c, coeff = mu.params
         a, b = mu.support[0]
         if x < a or x > b:
-            anchor = min(max(x, a), b)
-            floor = max(0.5 * _interval_distance(x, a, b), 1e-13 * (b - a))
-            edges = _panel_edges(
-                a, b, b - a,
-                sharp=[k for k in mu.kink_points() if a < k < b],
-                soft=[anchor],
-                soft_floor=floor,
-            )
-            s, w = panel_nodes(edges)
-            return float(np.sum(w * mu.density(s) / (x - s) ** 2))
+            s, wd = _panel_rule(mu, x, 0.0)
+            return float(np.sum(wd / (x - s) ** 2))
         if x == c:
             if kappa <= 1.0:
                 return math.inf
@@ -360,31 +354,6 @@ def t_critical(mu, x_star):
 
 # --------------------------------------------------------------------------
 # subordination height
-
-
-def _lorentz(mu, x, y):
-    """int dmu(s) / ((x - s)^2 + y^2) for scalar x, y > 0."""
-    pts = _atoms(mu)
-    if pts is not None:
-        return float(np.mean(1.0 / ((x - pts) ** 2 + y * y)))
-    if mu.kind in ("semicircle", "uniform"):
-        return -complex(_stieltjes_closed(mu, complex(x, y))).imag / y
-    return -_cauchy_panels(mu, complex(x, y)).imag / y
-
-
-def _y_scalar(mu, t, x):
-    st = math.sqrt(t)
-    if second_moment_integral(mu, x) <= 1.0 / t:
-        return 0.0
-    target = 1.0 / t
-    lo, hi = 0.0, st
-    while hi - lo > 1e-12 * st:
-        mid = 0.5 * (lo + hi)
-        if _lorentz(mu, x, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _chunked_rows(n, budget=4_000_000):
@@ -418,16 +387,11 @@ def _closed_lorentz_sums(mu, xs, big_y):
     y = np.sqrt(big_y)
     z = xs + 1j * y
     lo, hi = mu.support[0]
+    lsum = -np.imag(_stieltjes_closed(mu, z)) / y
     if mu.kind == "semicircle":
         (v,) = mu.params
-        w = np.sqrt(z - hi) * np.sqrt(z + hi)
-        lsum = -np.imag(_stieltjes_closed(mu, z)) / y
-        dg = (1.0 - z / w) / (2.0 * v)
+        dg = (1.0 - z / (np.sqrt(z - hi) * np.sqrt(z + hi))) / (2.0 * v)
     else:
-        # the angle from z - lo to z - hi in one arctan2: left of the support
-        # Im log(z - hi) - Im log(z - lo) cancels two values near pi
-        angle = np.arctan2(y * (hi - lo), (xs - lo) * (xs - hi) + big_y)
-        lsum = angle / ((hi - lo) * y)
         dg = (1.0 / (z - lo) - 1.0 / (z - hi)) / (hi - lo)
     msum = (np.real(dg) + lsum) / (2.0 * big_y)
     far = y < 1e-4 * np.maximum(np.maximum(lo - xs, xs - hi), 0.0)
@@ -440,21 +404,47 @@ def _closed_lorentz_sums(mu, xs, big_y):
     return lsum, msum
 
 
+def _rule_rows(mu, xs, ys):
+    """One panel rule per point x + iy, as rows padded with zero weights."""
+    rules = [_panel_rule(mu, x, y) for x, y in zip(xs, ys)]
+    width = max(s.size for s, _ in rules)
+    nodes = np.zeros((len(rules), width))
+    weights = np.zeros((len(rules), width))
+    for row, (s, wd) in enumerate(rules):
+        nodes[row, : s.size] = s
+        weights[row, : s.size] = wd
+    return nodes, weights
+
+
+def _row_lorentz_sums(nodes, weights, xs, big_y):
+    """L and M = -dL/dY with one row of nodes and weights per point."""
+    inv = 1.0 / ((xs[:, None] - nodes) ** 2 + big_y[:, None])
+    lsum = np.einsum("ij,ij->i", inv, weights)
+    msum = np.einsum("ij,ij->i", np.multiply(inv, inv, out=inv), weights)
+    return lsum, msum
+
+
+# points per block of panel rules: a rule has a few thousand nodes, so a
+# block's arrays stay near 1 MB
+_RULE_BLOCK = 32
 _NEWTON_CAP = 64
+# Newton's start height, in units of sqrt(t); heights below it count as 0
+_Y_START = 1e-14
 
 
-def _newton_heights(sums, t, xs):
+def _newton_heights(sums, t, size):
     """Heights y >= 0 with L(y^2) = 1/t, and 0 where no positive one exists.
 
-    ``sums(X, Y)`` returns L(Y) = int dmu(s)/((X - s)^2 + Y) and
-    M = -dL/dY.  As a harmonic mean of functions affine in Y, h = 1/L is
-    concave and increasing (Biane, Indiana Univ. Math. J. 46, 1997), so
-    Newton on h(Y) = t, started below the root, rises monotonically to it.
+    ``sums(idx, Y)`` returns L(Y) = int dmu(s)/((x - s)^2 + Y) and
+    M = -dL/dY at the points indexed by idx.  As a harmonic mean of
+    functions affine in Y, h = 1/L is concave and increasing (Biane,
+    Indiana Univ. Math. J. 46, 1997), so Newton on h(Y) = t, started below
+    the root, rises monotonically to it.
     """
-    y_floor = math.sqrt(t) * 1e-14
-    big_y = np.full(xs.shape, y_floor * y_floor)
-    lsum, msum = sums(xs, big_y)
-    ys = np.zeros_like(xs)
+    y_floor = math.sqrt(t) * _Y_START
+    big_y = np.full(size, y_floor * y_floor)
+    lsum, msum = sums(np.arange(size), big_y)
+    ys = np.zeros(size)
     idx = np.nonzero(lsum > 1.0 / t)[0]
     big_y, lsum, msum = big_y[idx], lsum[idx], msum[idx]
     for _ in range(_NEWTON_CAP):
@@ -466,7 +456,7 @@ def _newton_heights(sums, t, xs):
         idx, big_y = idx[moving], big_y[moving] + step[moving]
         if idx.size == 0:
             return ys
-        lsum, msum = sums(xs[idx], big_y)
+        lsum, msum = sums(idx, big_y)
     raise NonConvergence(
         f"subordination height: Newton did not settle in {_NEWTON_CAP} steps "
         f"at {idx.size} points, t={t:g}"
@@ -474,10 +464,15 @@ def _newton_heights(sums, t, xs):
 
 
 class FreeConvolutionState:
-    """Immutable bundle of (mu, t) with cached subordination-graph samples.
+    """Immutable bundle of (mu, t) with a cached sample of the subordination graph.
 
-    The graph cache only serves to bracket the monotone inversion of H;
-    all returned values come from full-precision scalar evaluations.
+    Every height y_t(x), at one point or along a profile, comes from one
+    Newton solver (``_newton_heights``), and H along the graph from the
+    same integrals: closed forms for the semicircle and uniform kinds,
+    sums over the atoms of empirical measures, and one graded panel rule
+    per point (``_panel_rule``) for the other kinds.  The cached graph
+    brackets the monotone inversion of H; ``inverse`` then solves H = xi
+    by root-finding on single points of the graph.
     """
 
     def __init__(self, mu, t):
@@ -487,12 +482,11 @@ class FreeConvolutionState:
             raise ValueError("t must be positive and finite")
         self.sqrt_t = math.sqrt(self.t)
         self._graph = None
-        self._shared_nodes = None
 
     # ------------------------------------------------------------ pointwise
 
     def y(self, x):
-        return _y_scalar(self.mu, self.t, float(x))
+        return float(self._y_profile(np.array([float(x)]))[0])
 
     def stieltjes(self, z):
         return stieltjes(self.mu, z)
@@ -530,46 +524,35 @@ class FreeConvolutionState:
         return float(val.real)
 
     def _h_exact(self, x):
-        x = float(x)
-        y = _y_scalar(self.mu, self.t, x)
-        if y > 0.0:
-            return x + self.t * stieltjes(self.mu, complex(x, y)).real
-        return x + self.t * hilbert_transform(self.mu, x)
+        xs = np.array([float(x)])
+        return float(self._h_profile(xs, self._y_profile(xs))[0])
 
     # ------------------------------------------------------------ profiles
 
-    def _shared_quadrature(self):
-        # reusable nodes for the power/piecewise profile approximations
-        if self._shared_nodes is None:
-            mu = self.mu
-            hull_lo, hull_hi = mu.hull()
-            span = max(hull_hi - hull_lo, 1e-12)
-            kinks = mu.kink_points()
-            nodes = []
-            weights = []
-            for a, b in mu.support:
-                if not b > a:
-                    continue
-                special = [k for k in kinks if a < k < b]
-                s, w = panel_nodes(
-                    graded_edges(a, b, special=special, floor=1e-7 * span), order=12
-                )
-                nodes.append(s)
-                weights.append(w * mu.density(s))
-            self._shared_nodes = (np.concatenate(nodes), np.concatenate(weights))
-        return self._shared_nodes
-
     def _y_profile(self, xs):
-        return _newton_heights(self._lorentz_sums, self.t, xs)
-
-    def _lorentz_sums(self, xs, big_y):
-        pts = _atoms(self.mu)
+        mu, t = self.mu, self.t
+        pts = _atoms(mu)
         if pts is not None:
             weights = np.full(pts.size, 1.0 / pts.size)
-            return _node_lorentz_sums(pts, weights, xs, big_y)
-        if self.mu.kind in ("semicircle", "uniform"):
-            return _closed_lorentz_sums(self.mu, xs, big_y)
-        return _node_lorentz_sums(*self._shared_quadrature(), xs, big_y)
+            return _newton_heights(
+                lambda i, big_y: _node_lorentz_sums(pts, weights, xs[i], big_y),
+                t, xs.size,
+            )
+        if mu.kind in ("semicircle", "uniform"):
+            return _newton_heights(
+                lambda i, big_y: _closed_lorentz_sums(mu, xs[i], big_y), t, xs.size
+            )
+        # one rule per point, graded at Newton's start height: it resolves
+        # every Lorentzian of width y met on the way up to the root
+        ys = np.empty(xs.size)
+        for j in range(0, xs.size, _RULE_BLOCK):
+            x = xs[j : j + _RULE_BLOCK]
+            nodes, weights = _rule_rows(mu, x, np.full(x.size, _Y_START * self.sqrt_t))
+            ys[j : j + _RULE_BLOCK] = _newton_heights(
+                lambda i, big_y: _row_lorentz_sums(nodes[i], weights[i], x[i], big_y),
+                t, x.size,
+            )
+        return ys
 
     def _h_profile(self, xs, ys):
         pts = _atoms(self.mu)
@@ -585,14 +568,12 @@ class FreeConvolutionState:
         if self.mu.kind in ("semicircle", "uniform"):
             g = _stieltjes_closed(self.mu, xs + 1j * ys)
             return xs + self.t * np.real(g)
-        s, wd = self._shared_quadrature()
         out = np.empty(xs.size)
-        block = _chunked_rows(s.size)
-        for i in range(0, xs.size, block):
-            sl = slice(i, i + block)
-            dx = xs[sl, None] - s[None, :]
-            d2 = dx**2 + ys[sl, None] ** 2
-            out[sl] = np.sum(wd[None, :] * dx / d2, axis=1)
+        for i in range(0, xs.size, _RULE_BLOCK):
+            sl = slice(i, i + _RULE_BLOCK)
+            nodes, weights = _rule_rows(self.mu, xs[sl], ys[sl])
+            dx = xs[sl, None] - nodes
+            out[sl] = np.einsum("ij,ij->i", weights, dx / (dx**2 + ys[sl, None] ** 2))
         hs = xs + self.t * out
         # on-support points pinched to the axis need the principal value
         pinched = np.nonzero(ys == 0.0)[0]

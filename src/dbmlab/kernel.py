@@ -25,7 +25,7 @@ from scipy.special import roots_hermite as sp_roots_hermite
 
 from .errors import ConfigError, NonConvergence
 from .freeconv import FreeConvolutionState, Window, window_scale
-from .measures import EmpiricalMeasure, InitialConfiguration
+from .measures import EmpiricalMeasure, _extract_points
 from .panels import panel_nodes
 
 # e^-60: below any tolerance this module promises, with margin for sums
@@ -45,17 +45,6 @@ def sine_kernel(u, v):
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def _extract_points(config) -> np.ndarray:
-    if isinstance(config, InitialConfiguration):
-        return np.asarray(config.points, dtype=float)
-    if isinstance(config, EmpiricalMeasure):
-        return np.asarray(config.points, dtype=float)
-    pts = np.asarray(config, dtype=float)
-    if pts.ndim != 1 or pts.size == 0:
-        raise ConfigError("configuration must be a non-empty 1-d point set")
-    return pts
 
 
 def _split_duplicates(points: np.ndarray) -> tuple[np.ndarray, float]:

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
+from .errors import ConfigError
 from .panels import graded_edges, panel_nodes
 
 MASS_TOL = 1e-10
@@ -324,6 +325,14 @@ def insert_gap(points, x_star, half_width):
 
 
 # ---------------------------------------------------------------- point sets
+
+
+def _extract_points(config) -> np.ndarray:
+    """The points of a configuration, an empirical measure or a 1-d array."""
+    pts = np.asarray(getattr(config, "points", config), dtype=float)
+    if pts.ndim != 1 or pts.size == 0:
+        raise ConfigError("configuration must be a non-empty 1-d point set")
+    return pts
 
 
 @dataclass(frozen=True, eq=False)

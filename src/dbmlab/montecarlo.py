@@ -15,16 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonConvergence
+from .measures import _extract_points
 
 _HERMITICITY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
-
-
-def _extract_points(config) -> np.ndarray:
-    pts = np.asarray(getattr(config, "points", config), dtype=float)
-    if pts.ndim != 1 or pts.size == 0:
-        raise ConfigError("configuration must provide a 1-d point list")
-    return pts
 
 
 class GueSampler:

@@ -55,6 +55,14 @@ def test_stieltjes_uniform_log_ratio():
     assert stieltjes(UNIFORM, z) == pytest.approx(expected, abs=1e-13)
 
 
+@pytest.mark.parametrize("x, y", [(1.2247, 1e-15), (1.2247, 1e-10), (1.05, 1e-8)])
+def test_stieltjes_uniform_imag_is_mirror_symmetric(x, y):
+    # left of the support the two arguments of the logs are both near pi
+    right = stieltjes(UNIFORM, complex(x, y)).imag
+    left = stieltjes(UNIFORM, complex(-x, y)).imag
+    assert abs(left - right) <= 1e-13 * abs(right)
+
+
 def test_stieltjes_herglotz_sign():
     for mu in [UNIFORM, SEMI, MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))]:
         val = stieltjes(mu, 0.3 + 0.2j)
@@ -242,14 +250,9 @@ def _closed_case(mu, t, xs):
     return mu, t, np.asarray(xs, dtype=float), lorentz
 
 
-def _power_case(t):
-    mu = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
-    s, wd = FreeConvolutionState(mu, t)._shared_quadrature()
-
-    def lorentz(x, y):
-        return float(np.sum(wd / ((x - s) ** 2 + y * y)))
-
-    return mu, t, np.linspace(-1.5, 1.5, 61), lorentz
+def _power_case(kappa, t):
+    mu = MeasureSpec.power(kappa, 0.0, (-1.0, 1.0))
+    return _closed_case(mu, t, np.linspace(-1.5, 1.5, 61))
 
 
 @pytest.mark.parametrize(
@@ -271,9 +274,20 @@ def _power_case(t):
             0.5,
             np.append(np.linspace(-1.3, 1.3, 53), [-1.224, -1.21, -1.01, 1.001]),
         ),
-        lambda: _power_case(0.2285),
+        lambda: _power_case(0.5, 0.2285),
+        # narrow Lorentzians: heights far below the spacing of a shared rule
+        lambda: _power_case(0.5, 1e-3),
+        lambda: _power_case(2.0, 0.05),
     ],
-    ids=["atoms-bulk", "atoms-gap", "semicircle", "uniform", "power-half"],
+    ids=[
+        "atoms-bulk",
+        "atoms-gap",
+        "semicircle",
+        "uniform",
+        "power-half",
+        "power-half-small-t",
+        "power-two",
+    ],
 )
 def test_y_profile_matches_bisection(case):
     mu, t, xs, lorentz = case()
@@ -372,6 +386,16 @@ def test_psi_parametric_identity():
         assert y > 0
         xi = state.forward(x)
         assert state.psi(xi) == pytest.approx(y / (math.pi * 0.4), abs=1e-8)
+
+
+def test_psi_parametric_identity_small_t():
+    # at small t the heights near the support edges are far below the
+    # spacing of any one quadrature shared by all points
+    t = 1e-3
+    state = FreeConvolutionState(MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)), t)
+    for x in [-0.9, 0.02, 0.5]:
+        expected = state.y(x) / (math.pi * t)
+        assert state.psi(state.forward(x)) == pytest.approx(expected, rel=1e-8)
 
 
 # ---------------------------------------------------------------- proof-grade bounds
