@@ -60,7 +60,6 @@ _WINDOW_KEYS = {"x_star": float, "extent": float, "step": float, "epsilon": floa
 _QUAD_KEYS = {
     "dc_tol": float,
     "max_levels": int,
-    "m_nodes": int,
     "fredholm_m0": int,
 }
 _SCHEMA = {
@@ -288,16 +287,13 @@ def build_frame(cfg: RunConfig, conf=None, n=None, t=None) -> RescaledKernelFram
     else:
         window = make_window(conf.empirical(), t, x_star, u_grid=grid)
     quad = cfg.block("quadrature")
-    frame = RescaledKernelFrame(
+    return RescaledKernelFrame(
         conf,
         t,
         window,
         dc_tol=float(quad.get("dc_tol", 1e-7)),
         max_levels=int(quad.get("max_levels", 8)),
     )
-    if "m_nodes" in quad:
-        frame.evaluator.m0 = max(int(quad["m_nodes"]), frame.n // 2 + 1)
-    return frame
 
 
 # -- artifact helpers --------------------------------------------------------

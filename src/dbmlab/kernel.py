@@ -120,7 +120,10 @@ class KernelEvaluator:
         e = np.exp(am - p1)
         b = e.sum(axis=0)
         bmag = np.abs(e).sum(axis=0)
-        scale = max(1.0, float(np.max(np.abs(am.real))))
+        # Hermite weights that underflow to 0 (from M = 512 on) give -inf
+        # exponents; their terms are exact zeros and carry no rounding
+        ar = am.real
+        scale = max(1.0, float(np.max(np.abs(ar), where=np.isfinite(ar), initial=0.0)))
         return p1, b, bmag, scale
 
     def _rows(self, x, ys, m, shift):
@@ -309,6 +312,48 @@ def correlation_function(ev: KernelEvaluator, pts) -> float:
 
 # -- rescaled double-contour frames ---------------------------------------
 
+# bytes of the two real Cauchy temporaries of one w-block in _loop_sum
+_BLOCK_BYTES = 2_000_000
+
+
+def _loop_sum(x0: float, sig: np.ndarray, a: np.ndarray, wn: np.ndarray, q: np.ndarray):
+    """Double sum of a(z) q(w) / (z - w) over both halves of both contours, times i.
+
+    The z-line is x0 + i*sig (sig > 0) with weights ``a``, mirrored to
+    x0 - i*sig with conj(a); the loop is ``wn`` with weight rows ``-q``,
+    mirrored to conj(wn) with conj(q).  The z weights are contracted first:
+    r1 = a @ 1/(z - w) and r2 = a @ 1/(z - conj w) give the whole sum as
+    [g, -conj g] @ [conj q, q] with g = r2 + conj(r1), accumulated in one
+    product so that its imaginary part is the rounding of the mirrored sum.
+    Every z shares the real part x0, so 1/(z - w) = (dx - i dy)/(dx^2 + dy^2)
+    with one real dx = x0 - Re w per column: the Cauchy blocks are real.
+    """
+    nz = sig.size
+    amat = np.stack([a.real, a.imag])
+    block = max(1, _BLOCK_BYTES // (16 * max(1, nz)))
+    inv_buf = np.empty((nz, min(block, wn.size)))
+    dy_buf = np.empty_like(inv_buf)
+    ssum = np.zeros(q.shape[1], dtype=complex)
+    for i in range(0, wn.size, block):
+        sl = slice(i, i + block)
+        dx = x0 - wn.real[sl]
+        dx2 = dx * dx
+        inv, dy = inv_buf[:, : dx.size], dy_buf[:, : dx.size]
+        r = []
+        for wy in (wn.imag[sl], -wn.imag[sl]):
+            # 1/(z - w) = dx*inv - i*dy*inv for w = Re w + i*wy
+            np.subtract(sig[:, None], wy[None, :], out=dy)
+            np.multiply(dy, dy, out=inv)
+            inv += dx2
+            np.reciprocal(inv, out=inv)
+            dy *= inv
+            p, m = amat @ inv, amat @ dy
+            r.append((p[0] * dx + m[1]) + 1j * (p[1] * dx - m[0]))
+        g = r[1] + np.conj(r[0])
+        qs = q[sl]
+        ssum += np.concatenate([g, -np.conj(g)]) @ np.concatenate([np.conj(qs), qs])
+    return 1j * ssum
+
 
 class RescaledKernelFrame:
     """Kernel in window coordinates via saddle-referenced contour quadrature.
@@ -321,11 +366,12 @@ class RescaledKernelFrame:
     """
 
     def __init__(self, config, t, window: Window, dc_tol=1e-7, max_levels=8):
-        self.evaluator = KernelEvaluator(config, t)
-        self.window = window
         self.t = float(t)
-        self.n = self.evaluator.n
-        self.points = self.evaluator.points
+        if not self.t > 0.0:
+            raise ConfigError("t must be positive")
+        self.points, self.eps_split_applied = _split_duplicates(_extract_points(config))
+        self.n = int(self.points.size)
+        self.window = window
         self.state = FreeConvolutionState(EmpiricalMeasure(self.points), self.t)
         self.h = window_scale(window, self.n)
         self.dc_tol = float(dc_tol)
@@ -335,7 +381,10 @@ class RescaledKernelFrame:
         self._pairs: dict[tuple[float, float], float] = {}
         self._lump_cache = None
         self._far_lumps: dict[tuple[int, int], tuple | None] = {}
-        self.evaluator.x0 = float(self._saddle(0.0).real)
+        # largest node count, both contours and both halves, of an accepted row
+        self.quadrature_m = 0
+        # Re z_saddle(0), reported as the frame's anchor
+        self.x0 = float(self._saddle(0.0).real)
 
     # -- geometry ----------------------------------------------------------
 
@@ -531,16 +580,11 @@ class RescaledKernelFrame:
 
         ref_z = self._phi_hat_scalar(zs, u).real
         sig, wsig = self._z_line(x0, s, width, level)
-        zq = x0 + 1j * sig
-        bz, lz = self._phi_parts(zq)
+        bz, lz = self._phi_parts(x0 + 1j * sig)
         phi_z = bz - h * u * lz
         keep = (phi_z.real - ref_z) > -_DROP_CUTOFF
-        zq, wsig, phi_z = zq[keep], wsig[keep], phi_z[keep]
-        ez = np.exp(phi_z - ref_z)
-        # lower half by reflection: phi has real coefficients
-        nz = zq.size
-        ez_all = np.concatenate([ez, np.conj(ez)])
-        w_all = np.concatenate([wsig, wsig])
+        sig, wsig, phi_z = sig[keep], wsig[keep], phi_z[keep]
+        a = wsig * np.exp(phi_z - ref_z)
 
         wn, wst, bw, lw = self._w_contour(x0, s, width, level)
         ref_w = np.array([self._v_ref(v) for v in vs])
@@ -549,51 +593,39 @@ class RescaledKernelFrame:
         a_row = (theta / math.pi) * np.sinc(du * theta / math.pi)
 
         if wn.size == 0:
-            return a_row, 0.0
+            return a_row, 0.0, 2 * sig.size
 
         phi_w = bw[:, None] - (h * lw)[:, None] * vs[None, :]
         drop = ref_w[None, :] - phi_w.real
         keep_w = np.any(drop > -_DROP_CUTOFF, axis=1)
         if not np.any(keep_w):
-            return a_row, 0.0
+            return a_row, 0.0, 2 * sig.size
         wn, wst, phi_w = wn[keep_w], wst[keep_w], phi_w[keep_w]
         with np.errstate(under="ignore"):
             ew = np.exp(ref_w[None, :] - phi_w)
         q = wst[:, None] * ew
 
-        tmat = np.zeros((2 * nz, vs.size), dtype=complex)
-        block = max(1, int(1_500_000 / max(1, 2 * nz)))
-        for i in range(0, wn.size, block):
-            sl = slice(i, i + block)
-            d1 = 1.0 / (zq[:, None] - wn[None, sl])
-            d2 = 1.0 / (zq[:, None] - np.conj(wn[None, sl]))
-            qs, qc = q[sl], np.conj(q[sl])
-            tmat[:nz] += d2 @ qc - d1 @ qs
-            # at conj(zq) the Cauchy blocks are exactly conj(d2) and conj(d1);
-            # the lower half keeps its own two products instead of reusing the
-            # upper half's, so the imaginary residual below still sums both
-            tmat[nz:] += np.conj(d1) @ qc - np.conj(d2) @ qs
-
-        ssum = 1j * ((w_all * ez_all) @ tmat)
+        ssum = _loop_sum(x0, sig, a, wn, q)
         gauge = (n * h / t) * du * (x0 - self.window.x_star_t)
         pref = -h * n / (4.0 * math.pi**2 * t)
         i_row = pref * np.exp(gauge + ref_z - ref_w) * ssum
         if not np.all(np.isfinite(i_row)):
             raise NonConvergence("contour exponent overflow in frame column")
         resid = float(np.max(np.abs(i_row.imag)))
-        return a_row + i_row.real, resid
+        return a_row + i_row.real, resid, 2 * (sig.size + wn.size)
 
     def _row(self, u: float, vs: tuple) -> np.ndarray:
         varr = np.asarray(vs, dtype=float)
-        prev, _ = self._column(u, varr, 0)
+        prev, _, _ = self._column(u, varr, 0)
         err = math.inf
         for level in range(1, self.max_levels + 1):
-            cur, resid = self._column(u, varr, level)
+            cur, resid, nodes = self._column(u, varr, level)
             err = float(np.max(np.abs(cur - prev)))
             scale = float(np.max(np.abs(cur)))
             ok = err <= max(self.dc_tol, 1e-6 * scale)
             ok_im = resid <= max(1e-9, 1e-6 * scale)
             if ok and ok_im:
+                self.quadrature_m = max(self.quadrature_m, nodes)
                 # halving the cell size quarters the error, so one Richardson
                 # step removes the leading term
                 out = cur + (cur - prev) / 3.0
@@ -649,7 +681,7 @@ def frame_to_json(frame: RescaledKernelFrame) -> dict:
         "x_star": w.x_star,
         "x_star_t": w.x_star_t,
         "c_t": w.c_t,
-        "x0": frame.evaluator.x0,
-        "quadrature_M": int(frame.evaluator.quadrature_m),
-        "eps_split_applied": float(frame.evaluator.eps_split_applied),
+        "x0": frame.x0,
+        "quadrature_M": int(frame.quadrature_m),
+        "eps_split_applied": float(frame.eps_split_applied),
     }

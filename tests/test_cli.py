@@ -76,6 +76,11 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             cli.parse_config_text("measure {\n flavor = 2\n}\n")
 
+    def test_removed_m_nodes_key_rejected(self):
+        # the frame never used a Lagrange node count
+        with pytest.raises(ConfigError):
+            cli.parse_config_text("quadrature {\n m_nodes = 64\n}\n")
+
     def test_type_errors_rejected(self):
         with pytest.raises(ConfigError):
             cli.parse_config_text("n = 2.5\n")

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from dbmlab import kernel
 from dbmlab.errors import NonConvergence
 from dbmlab.freeconv import (
     FreeConvolutionState,
@@ -122,6 +123,16 @@ class TestQuadrature:
         ev = KernelEvaluator(cfg, 0.5, m_nodes=64, m_max=64)
         with pytest.raises(NonConvergence):
             kernel_lagrange(ev, 0.3, -0.2)
+
+    @pytest.mark.parametrize("m", [512, 1024])
+    def test_noise_finite_with_underflowing_weights(self, m):
+        # from M = 512 on some Gauss-Hermite weights underflow to exactly 0;
+        # an infinite noise estimate would accept any pair of values
+        cfg = InitialConfiguration.explicit([-1.0, 0.2, 0.9])
+        ev = KernelEvaluator(cfg, 0.5, m_nodes=256)
+        vals, noise = ev._rows(0.3, np.array([-0.2]), m, 0.0)
+        assert np.all(np.isfinite(noise))
+        assert noise[0] < 1e-10 * abs(vals[0])
 
 
 class TestDuplicateSplitting:
@@ -400,6 +411,18 @@ class TestRescaledFrame:
         assert blob["c_t"] == pytest.approx(1.0 / math.pi, rel=1e-9)
         assert blob["eps_split_applied"] == 0.0
 
+    def test_quadrature_m_counts_nodes_of_accepted_rows(self):
+        cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), 12)
+        window = make_window(cfg.empirical(), 0.5, 0.0)
+        got = []
+        for levels in (8, 10):
+            frame = RescaledKernelFrame(cfg, 0.5, window, max_levels=levels)
+            assert frame_to_json(frame)["quadrature_M"] == 0
+            frame.value(0.0, 0.0)
+            got.append(frame_to_json(frame)["quadrature_M"])
+        assert got[0] > 0
+        assert got[1] >= got[0]
+
     def test_unreachable_tolerance_raises(self):
         cfg = InitialConfiguration.explicit([0.0])
         window = make_window(cfg.empirical(), 1.0, 0.0)
@@ -408,3 +431,57 @@ class TestRescaledFrame:
         )
         with pytest.raises(NonConvergence):
             frame.value(0.0, 0.0)
+
+
+def dense_loop_sum(x0, sig, a, wn, q):
+    """The double sum over both contour halves with one plain Cauchy matrix."""
+    z = np.concatenate([x0 + 1j * sig, x0 - 1j * sig])
+    w = np.concatenate([wn, np.conj(wn)])
+    az = np.concatenate([a, np.conj(a)])
+    qw = np.concatenate([-q, np.conj(q)])
+    return 1j * (az @ (1.0 / (z[:, None] - w[None, :])) @ qw)
+
+
+def _bulk_uniform_frame():
+    cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), 50)
+    return RescaledKernelFrame(cfg, 0.5, make_window(cfg.empirical(), 0.5, 0.0))
+
+
+def _power_half_frame():
+    mu = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
+    n = 50
+    t = 0.05 * n ** (-1.0 / 3.0) * math.log(n) ** 2
+    cfg = InitialConfiguration.from_quantiles(mu, n)
+    return RescaledKernelFrame(cfg, t, make_window(mu, t, 0.0))
+
+
+def _two_cluster_frame():
+    cfg = InitialConfiguration.equispaced(-1.0, 1.0, 40).with_gap(0.0, 0.3)
+    return RescaledKernelFrame(cfg, 0.05, make_window(cfg.empirical(), 0.05, 0.6))
+
+
+@pytest.mark.parametrize(
+    "make_frame",
+    [_bulk_uniform_frame, _power_half_frame, _two_cluster_frame],
+    ids=["bulk-uniform-n50", "power-half-n50", "two-cluster"],
+)
+def test_column_matches_dense_double_sum(make_frame, monkeypatch):
+    # _column contracts the z weights into real Cauchy blocks first; the
+    # reference sums the same nodes and weights through one dense 1/(Z - W)
+    frame = make_frame()
+    vs = np.array([-1.0, -0.25, 0.0, 0.5, 1.0])
+    cols = {}
+    for level in range(3):
+        for u in (-1.0, 0.0, 1.0):
+            cols[(level, u)] = frame._column(u, vs, level)
+    monkeypatch.setattr(kernel, "_loop_sum", dense_loop_sum)
+    for (level, u), (got, resid, nodes) in cols.items():
+        ref, _, ref_nodes = frame._column(u, vs, level)
+        scale = float(np.max(np.abs(ref)))
+        assert nodes == ref_nodes
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (level, u)
+        assert math.isfinite(resid)
+        assert resid <= 1e-12 * scale, (level, u, resid)
+    # the residual is the rounding of one sum over both loop halves; one
+    # that is exactly 0 everywhere would make the realness check vacuous
+    assert any(resid > 0.0 for _, resid, _ in cols.values())
