@@ -16,7 +16,6 @@ from .measures import (  # noqa: F401
 )
 from .freeconv import (  # noqa: F401
     FreeConvolutionState,
-    SaddlePair,
     Window,
     forward_map,
     gap_window,
@@ -24,7 +23,6 @@ from .freeconv import (  # noqa: F401
     inverse_map,
     make_window,
     psi_t,
-    saddle_points,
     stieltjes,
     t_critical,
     y_t,

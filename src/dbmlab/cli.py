@@ -335,7 +335,7 @@ def cmd_density(cfg: RunConfig, out: Path) -> int:
     a, b = mu.hull()
     pad = 2.0 * math.sqrt(t)
     xs = np.linspace(a - pad, b + pad, 201)
-    psi = np.array([psi_t(state, float(x)) for x in xs])
+    psi = psi_t(state, xs)
     lines = ["x,psi"] + [f"{_FMT % x},{_FMT % p}" for x, p in zip(xs, psi)]
     _emit_config(cfg, out)
     _write(out / "density.csv", "\n".join(lines) + "\n")

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BracketingError,
@@ -40,7 +39,6 @@ from .panels import graded_edges, panel_nodes
 __all__ = [
     "FreeConvolutionState",
     "Window",
-    "SaddlePair",
     "stieltjes",
     "hilbert_transform",
     "second_moment_integral",
@@ -54,7 +52,6 @@ __all__ = [
     "gap_window",
     "window_to_json",
     "window_from_json",
-    "saddle_points",
 ]
 
 _DIVERGENCE_THRESHOLD = 1e12  # partial integrals beyond this count as divergent
@@ -428,6 +425,10 @@ def _row_lorentz_sums(nodes, weights, xs, big_y):
 # block's arrays stay near 1 MB
 _RULE_BLOCK = 32
 _NEWTON_CAP = 64
+# the inverse map stops like scipy's Brent solver: a bracket narrower
+# than _XTOL + _RTOL |x| has settled
+_XTOL, _RTOL = 1e-10, 8.9e-16
+_INVERSE_CAP = 100
 # Newton's start height, in units of sqrt(t); heights below it count as 0
 _Y_START = 1e-14
 
@@ -470,9 +471,9 @@ class FreeConvolutionState:
     Newton solver (``_newton_heights``), and H along the graph from the
     same integrals: closed forms for the semicircle and uniform kinds,
     sums over the atoms of empirical measures, and one graded panel rule
-    per point (``_panel_rule``) for the other kinds.  The cached graph
-    brackets the monotone inversion of H; ``inverse`` then solves H = xi
-    by root-finding on single points of the graph.
+    per point (``_panel_rule``) for the other kinds.  H is increasing along
+    the graph, so the cached graph brackets every xi at once and
+    ``inverse`` solves H = xi for a whole array in one root-finding loop.
     """
 
     def __init__(self, mu, t):
@@ -523,10 +524,6 @@ class FreeConvolutionState:
             )
         return float(val.real)
 
-    def _h_exact(self, x):
-        xs = np.array([float(x)])
-        return float(self._h_profile(xs, self._y_profile(xs))[0])
-
     # ------------------------------------------------------------ profiles
 
     def _y_profile(self, xs):
@@ -554,33 +551,39 @@ class FreeConvolutionState:
             )
         return ys
 
-    def _h_profile(self, xs, ys):
-        pts = _atoms(self.mu)
+    def _g_profile(self, xs, ys):
+        """G(x + iy) at graph points, from the same sums as the heights."""
+        mu = self.mu
+        pts = _atoms(mu)
         if pts is not None:
-            out = np.empty(xs.size)
+            out = np.empty(xs.size, dtype=complex)
             block = _chunked_rows(pts.size)
             for i in range(0, xs.size, block):
                 sl = slice(i, i + block)
                 dx = xs[sl, None] - pts[None, :]
                 d2 = dx**2 + ys[sl, None] ** 2
-                out[sl] = np.mean(dx / d2, axis=1)
-            return xs + self.t * out
-        if self.mu.kind in ("semicircle", "uniform"):
-            g = _stieltjes_closed(self.mu, xs + 1j * ys)
-            return xs + self.t * np.real(g)
-        out = np.empty(xs.size)
+                out.real[sl] = np.mean(dx / d2, axis=1)
+                out.imag[sl] = -ys[sl] * np.mean(np.reciprocal(d2, out=d2), axis=1)
+            return out
+        if mu.kind in ("semicircle", "uniform"):
+            return _stieltjes_closed(mu, xs + 1j * ys)
+        out = np.empty(xs.size, dtype=complex)
         for i in range(0, xs.size, _RULE_BLOCK):
             sl = slice(i, i + _RULE_BLOCK)
-            nodes, weights = _rule_rows(self.mu, xs[sl], ys[sl])
+            nodes, weights = _rule_rows(mu, xs[sl], ys[sl])
             dx = xs[sl, None] - nodes
-            out[sl] = np.einsum("ij,ij->i", weights, dx / (dx**2 + ys[sl, None] ** 2))
-        hs = xs + self.t * out
+            d2 = dx**2 + ys[sl, None] ** 2
+            out.real[sl] = np.einsum("ij,ij->i", weights, dx / d2)
+            out.imag[sl] = -ys[sl] * np.einsum("ij,ij->i", weights, 1.0 / d2)
         # on-support points pinched to the axis need the principal value
-        pinched = np.nonzero(ys == 0.0)[0]
-        for i in pinched:
-            if _support_distance(self.mu, xs[i]) == 0.0:
-                hs[i] = xs[i] + self.t * hilbert_transform(self.mu, xs[i])
-        return hs
+        for i in np.nonzero(ys == 0.0)[0]:
+            if _support_distance(mu, xs[i]) == 0.0:
+                out[i] = hilbert_transform(mu, xs[i])
+        return out
+
+    def _h_graph(self, xs):
+        """H(x + i y(x)) along the graph."""
+        return xs + self.t * self._g_profile(xs, self._y_profile(xs)).real
 
     def _ensure_graph(self):
         if self._graph is not None:
@@ -618,84 +621,114 @@ class FreeConvolutionState:
             order = np.argsort(np.concatenate([xs, mids]), kind="stable")
             xs = np.concatenate([xs, mids])[order]
             ys = np.concatenate([ys, ym])[order]
-        hs = self._h_profile(xs, ys)
+        hs = xs + self.t * self._g_profile(xs, ys).real
         self._graph = _Graph(xs, ys, hs, np.maximum.accumulate(hs))
         return self._graph
 
     # ------------------------------------------------------------ inversion
 
     def inverse(self, xi):
-        """F(xi): the graph point x + i y(x) with H(x + i y(x)) = xi."""
-        xi = float(xi)
-        if not math.isfinite(xi):
+        """F(xi): the graph point x + i y(x) with H(x + i y(x)) = xi.
+
+        A scalar xi gives a complex number, an array one complex array of
+        its shape.
+        """
+        arr = np.asarray(xi, dtype=float)
+        if not np.all(np.isfinite(arr)):
             raise ValueError("xi must be finite")
+        xs = self._solve(arr.ravel())
+        return _shaped(xi, xs + 1j * self._y_profile(xs))
+
+    def _bracket(self, xi):
+        """Brackets [a, b] with H(a) <= xi <= H(b), and H - xi at both ends.
+
+        Inside the graph's range, adjacent graph points and their stored H
+        values; outside it, steps away from the hull that double in length.
+        """
         g = self._ensure_graph()
-        if xi <= g.hs_mono[0] or xi >= g.hs_mono[-1]:
-            x_hat = self._tail_solve(xi, g)
-        else:
-            i = int(np.searchsorted(g.hs_mono, xi))
-            a = float(g.xs[max(i - 3, 0)])
-            b = float(g.xs[min(i + 2, g.xs.size - 1)])
-            x_hat = self._bracket_solve(xi, a, b)
-        return complex(x_hat, self.y(x_hat))
-
-    def _bracket_solve(self, xi, a, b):
-        def f(x):
-            return self._h_exact(x) - xi
-
-        fa, fb = f(a), f(b)
-        step = max(b - a, 1e-9 * max(1.0, abs(xi)))
-        for _ in range(40):
-            if fa <= 0.0 <= fb:
-                break
-            if fa > 0.0:
-                a -= step
-                fa = f(a)
-            if fb < 0.0:
-                b += step
-                fb = f(b)
-            step *= 2.0
-        if not (fa <= 0.0 <= fb):
-            raise BracketingError(f"no sign change in [{a:.6g}, {b:.6g}] for xi={xi!r}")
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        return float(brentq(f, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200))
-
-    def _tail_solve(self, xi, g):
+        i = np.searchsorted(g.hs_mono, xi)
+        ia, ib = np.maximum(i - 1, 0), np.minimum(i, g.xs.size - 1)
+        a, b = g.xs[ia], g.xs[ib]
+        fa, fb = g.hs[ia] - xi, g.hs[ib] - xi
         hull_lo, hull_hi = self.mu.hull()
-        reach = abs(xi) + self.sqrt_t + (hull_hi - hull_lo) + 10.0
+        reach = np.abs(xi) + self.sqrt_t + (hull_hi - hull_lo) + 10.0
+        step = max(1.0, self.sqrt_t)
+        out = np.nonzero(~((fa <= 0.0) & (fb >= 0.0)))[0]
+        while out.size:
+            left = fa[out] > 0.0
+            lft, rgt = out[left], out[~left]
+            # the end that overshot becomes the other end
+            b[lft], fb[lft] = a[lft], fa[lft]
+            a[rgt], fa[rgt] = b[rgt], fb[rgt]
+            a[lft] -= step
+            b[rgt] += step
+            x = np.where(left, a[out], b[out])
+            f = self._h_graph(x) - xi[out]
+            fa[lft], fb[rgt] = f[left], f[~left]
+            # a NaN counts as no sign change
+            bad = np.where(left, ~(f <= 0.0), ~(f >= 0.0))
+            far = bad & (np.maximum(hull_lo - x, x - hull_hi) > reach[out])
+            if np.any(far):
+                k = out[far][0]
+                raise BracketingError(
+                    f"no bracket within [{a[k]:.6g}, {b[k]:.6g}] for xi={xi[k]!r}"
+                )
+            out = out[bad]
+            step *= 2.0
+        return a, b, fa, fb
 
-        def f(x):
-            return self._h_exact(x) - xi
+    def _solve(self, xi):
+        """x with H(x + i y(x)) = xi, by safeguarded Illinois steps.
 
-        if xi >= g.hs_mono[-1]:
-            a = float(g.xs[-2])
-            b = float(g.xs[-1]) + max(1.0, self.sqrt_t)
-            while f(b) < 0.0:
-                b = hull_hi + 2.0 * (b - hull_hi)
-                if b - hull_hi > reach:
-                    raise BracketingError(
-                        f"no bracket within [{a:.6g}, {b:.6g}] for xi={xi!r}"
-                    )
-        else:
-            b = float(g.xs[1])
-            a = float(g.xs[0]) - max(1.0, self.sqrt_t)
-            while f(a) > 0.0:
-                a = hull_lo - 2.0 * (hull_lo - a)
-                if hull_lo - a > reach:
-                    raise BracketingError(
-                        f"no bracket within [{a:.6g}, {b:.6g}] for xi={xi!r}"
-                    )
-        return self._bracket_solve(xi, a, b)
+        Each step evaluates H at all open brackets at once.  A bracket
+        settles when narrower than _XTOL + _RTOL |x|; new points stay
+        half that far inside, so a root that close to an end is straddled.
+        """
+        a, b, fa, fb = self._bracket(xi)
+        wa, wb = fa.copy(), fb.copy()
+        # +1 where the last step moved b, -1 where it moved a
+        last = np.zeros(xi.size, dtype=np.int8)
+        act = np.nonzero((fa < 0.0) & (fb > 0.0))[0]
+        for _ in range(_INVERSE_CAP):
+            tol = _XTOL + _RTOL * np.maximum(np.abs(a[act]), np.abs(b[act]))
+            wide = b[act] - a[act] >= tol
+            act, tol = act[wide], tol[wide]
+            if act.size == 0:
+                # the secant root of the settled bracket
+                span = np.where(fb > fa, fb - fa, 1.0)
+                return a - fa * (b - a) / span
+            aa, bb = a[act], b[act]
+            c = bb - wb[act] * (bb - aa) / (wb[act] - wa[act])
+            c = np.clip(c, aa + 0.5 * tol, bb - 0.5 * tol)
+            fc = self._h_graph(c) - xi[act]
+            hi, lo = fc >= 0.0, fc <= 0.0
+            # Illinois: an end kept a second time in a row has its weight halved
+            wa[act[hi & (last[act] > 0)]] *= 0.5
+            wb[act[lo & (last[act] < 0)]] *= 0.5
+            up, dn = act[hi], act[lo]
+            b[up], fb[up], wb[up] = c[hi], fc[hi], fc[hi]
+            a[dn], fa[dn], wa[dn] = c[lo], fc[lo], fc[lo]
+            last[act] = np.sign(fc)
+            act = act[fc != 0.0]
+        raise NonConvergence(
+            f"inverse map: {act.size} brackets still open after {_INVERSE_CAP} steps"
+        )
 
     def psi(self, xi):
-        """Density of mu evolved to time t, evaluated at xi."""
-        z = self.inverse(xi)
-        if z.imag <= 0.0:
-            return 0.0
-        return max(-stieltjes(self.mu, z).imag / math.pi, 0.0)
+        """Density of mu evolved to time t at xi; a scalar or an array like xi."""
+        z = np.ravel(self.inverse(xi))
+        out = np.zeros(z.size)
+        up = z.imag > 0.0
+        g = self._g_profile(z.real[up], z.imag[up])
+        out[up] = np.maximum(-g.imag / math.pi, 0.0)
+        return _shaped(xi, out)
+
+
+def _shaped(like, values):
+    """A Python scalar for a scalar ``like``, else ``values`` in its shape."""
+    if np.ndim(like) == 0:
+        return values[0].item()
+    return values.reshape(np.shape(like))
 
 
 @dataclass(frozen=True)
@@ -746,7 +779,7 @@ def inverse_map(state_or_mu, a, b=None):
 
 
 # --------------------------------------------------------------------------
-# observation windows and saddle points
+# observation windows
 
 DEFAULT_U_GRID = tuple(float(k) * 0.25 for k in range(-8, 9))
 
@@ -825,40 +858,8 @@ def window_from_json(blob):
     )
 
 
-@dataclass(frozen=True)
-class SaddlePair:
-    """Contour saddle points for one (u, v) pair of window coordinates."""
-
-    z: complex
-    w: complex
-    x0: float
-    s: float
-    residual: float
-
-
 def window_scale(window, n):
     """Physical half-width of one unit of u in the window coordinates."""
     if window.c_t is not None:
         return 1.0 / (window.c_t * n)
     return window.epsilon
-
-
-def saddle_points(config, t, window, u, v, state=None):
-    """Solve the saddle equations H(z) = x*_t + u*h, H(w) = x*_t + v*h."""
-    pts = _atoms(config)
-    if pts is None:
-        raise TypeError("saddle_points needs an atomic configuration")
-    if state is None:
-        state = FreeConvolutionState(EmpiricalMeasure(pts), t)
-    h = window_scale(window, pts.size)
-    xi_u = window.x_star_t + h * float(u)
-    xi_v = window.x_star_t + h * float(v)
-    z = state.inverse(xi_u)
-    w = z if xi_v == xi_u else state.inverse(xi_v)
-    residual = max(
-        abs(state.H_raw(z) - xi_u) / max(1.0, abs(xi_u)),
-        abs(state.H_raw(w) - xi_v) / max(1.0, abs(xi_v)),
-    )
-    if residual > 1e-9:
-        raise NonConvergence(f"saddle residual {residual:.3e} above 1e-9")
-    return SaddlePair(z=z, w=w, x0=z.real, s=z.imag, residual=residual)

@@ -153,28 +153,38 @@ class KernelEvaluator:
         noise = np.where(dead, 0.0, noise)
         return vals, noise
 
-    def _converged_rows(self, x, ys, shift=0.0):
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    def _doubled(self, level, rtol, cap_msg, stall_msg):
+        """Doubles M from m0 until ``level(M)``, values and their noise, agrees
+        with the level before within max(rtol |value|, 4 noise); returns
+        those values made real, and M."""
         m = self.m0
         if 2 * m > self.m_max:
-            raise NonConvergence(
-                f"node cap m_max={self.m_max} forbids doubling from m0={m}; "
-                "the quadrature cannot be verified"
-            )
-        vals, noise = self._rows(x, ys, m, shift)
+            raise NonConvergence(cap_msg.format(m_max=self.m_max, m=m))
+        vals, noise = level(m)
         while True:
             m2 = 2 * m
-            vals2, noise2 = self._rows(x, ys, m2, shift)
-            tol = np.maximum(1e-8 * np.abs(vals2), 4.0 * np.maximum(noise, noise2))
+            vals2, noise2 = level(m2)
+            tol = np.maximum(rtol * np.abs(vals2), 4.0 * np.maximum(noise, noise2))
             if np.all(np.abs(vals2 - vals) <= tol + 1e-300):
-                self.quadrature_m = max(self.quadrature_m, m2)
-                return self._realize(vals2, noise2)
+                return self._realize(vals2, noise2), m2
             if 2 * m2 > self.m_max:
                 raise NonConvergence(
-                    f"kernel quadrature not converged at cap {self.m_max}: "
-                    f"M={m} gave {vals}, M={m2} gave {vals2}"
+                    stall_msg.format(m_max=self.m_max, m=m, vals=vals, m2=m2, vals2=vals2)
                 )
             vals, noise, m = vals2, noise2, m2
+
+    def _converged_rows(self, x, ys, shift=0.0):
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        vals, m = self._doubled(
+            lambda m: self._rows(x, ys, m, shift),
+            1e-8,
+            "node cap m_max={m_max} forbids doubling from m0={m}; "
+            "the quadrature cannot be verified",
+            "kernel quadrature not converged at cap {m_max}: "
+            "M={m} gave {vals}, M={m2} gave {vals2}",
+        )
+        self.quadrature_m = max(self.quadrature_m, m)
+        return vals
 
     def _realize(self, vals, noise):
         tol = np.maximum(1e-12 * np.abs(vals.real), 8.0 * noise) + 1e-300
@@ -188,27 +198,17 @@ class KernelEvaluator:
     # -- biorthogonal family ----------------------------------------------
 
     def _p_hat_all(self, x, shift=0.0):
-        m = self.m0
-        if 2 * m > self.m_max:
-            raise NonConvergence("node cap forbids doubling")
         pref = math.sqrt(2.0 * self.n / self.t) / (2.0 * math.pi)
 
-        def one(mm):
-            p1, b, bmag, scale = self._z_core(x, mm, shift)
+        def level(m):
+            p1, b, bmag, scale = self._z_core(x, m, shift)
             vals = pref * np.exp(p1) * self._sign * b
             noise = pref * np.exp(p1) * bmag * (5e-16 * scale)
             return vals, noise
 
-        vals, noise = one(m)
-        while True:
-            m2 = 2 * m
-            vals2, noise2 = one(m2)
-            tol = np.maximum(1e-10 * np.abs(vals2), 4.0 * np.maximum(noise, noise2))
-            if np.all(np.abs(vals2 - vals) <= tol + 1e-300):
-                return self._realize(vals2, noise2)
-            if 2 * m2 > self.m_max:
-                raise NonConvergence("p-hat quadrature not converged at cap")
-            vals, noise, m = vals2, noise2, m2
+        return self._doubled(
+            level, 1e-10, "node cap forbids doubling", "p-hat quadrature not converged at cap"
+        )[0]
 
 
 def kernel_lagrange(ev: KernelEvaluator, x, y, contour_shift=0.0) -> float:
@@ -590,7 +590,10 @@ class RescaledKernelFrame:
         ref_w = np.array([self._v_ref(v) for v in vs])
         theta = h * n * s / t
         du = u - vs
+        # one gauge for all rows, at self.x0; the crossing residue carries
+        # the row's own factor exp(-(nh/t) du (x0 - x*_t))
         a_row = (theta / math.pi) * np.sinc(du * theta / math.pi)
+        a_row = a_row * np.exp((n * h / t) * du * (self.x0 - x0))
 
         if wn.size == 0:
             return a_row, 0.0, 2 * sig.size
@@ -606,7 +609,7 @@ class RescaledKernelFrame:
         q = wst[:, None] * ew
 
         ssum = _loop_sum(x0, sig, a, wn, q)
-        gauge = (n * h / t) * du * (x0 - self.window.x_star_t)
+        gauge = (n * h / t) * du * (self.x0 - self.window.x_star_t)
         pref = -h * n / (4.0 * math.pi**2 * t)
         i_row = pref * np.exp(gauge + ref_z - ref_w) * ssum
         if not np.all(np.isfinite(i_row)):

@@ -154,11 +154,6 @@ class DensityHistogram:
         total = self.n_samples * self.matrix_dim
         return self.counts / (total * np.diff(self.edges))
 
-    def density_stderr(self) -> np.ndarray:
-        total = self.n_samples * self.matrix_dim
-        p = self.counts / total
-        return np.sqrt(p * (1.0 - p) / total) / np.diff(self.edges)
-
     def to_json(self) -> dict:
         total = self.n_samples * self.matrix_dim
         p = self.counts / total

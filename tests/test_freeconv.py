@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from dbmlab.errors import OutsideDomain, PrincipalValueRequired
 from dbmlab.freeconv import (
     FreeConvolutionState,
-    SaddlePair,
     Window,
     forward_map,
     gap_window,
@@ -16,11 +15,11 @@ from dbmlab.freeconv import (
     inverse_map,
     make_window,
     psi_t,
-    saddle_points,
     second_moment_integral,
     stieltjes,
     t_critical,
     window_from_json,
+    window_scale,
     window_to_json,
     y_t,
 )
@@ -487,30 +486,71 @@ def test_gap_window_rejected_in_bulk():
 def test_saddle_single_atom_frozen():
     cfg = InitialConfiguration.explicit(np.array([0.0]))
     w = make_window(cfg.empirical(), 1.0, 0.0)
-    pair = saddle_points(cfg, 1.0, w, 0.0, 0.0)
-    assert pair.z == pytest.approx(1j, abs=1e-9)
-    assert pair.w == pytest.approx(1j, abs=1e-9)
-    assert pair.x0 == pytest.approx(0.0, abs=1e-9)
-    assert pair.s == pytest.approx(1.0, abs=1e-9)
-    assert pair.residual <= 1e-9
+    state = FreeConvolutionState(cfg.empirical(), 1.0)
+    z = inverse_map(state, w.x_star_t)
+    assert z == pytest.approx(1j, abs=1e-9)
+    assert z.real == pytest.approx(0.0, abs=1e-9)
+    assert z.imag == pytest.approx(1.0, abs=1e-9)
+    assert abs(state.H_raw(z) - w.x_star_t) <= 1e-9 * max(1.0, abs(w.x_star_t))
+
+
+def _saddles(cfg, t, window, us):
+    """Saddles F(x*_t + h u) of the frame's contours, and their state."""
+    state = FreeConvolutionState(cfg.empirical(), t)
+    xi = window.x_star_t + window_scale(window, cfg.n) * np.asarray(us)
+    return state, xi, inverse_map(state, xi)
 
 
 def test_saddle_residual_bulk():
     cfg = InitialConfiguration.from_quantiles(UNIFORM, 50)
     w = make_window(UNIFORM, 0.5, 0.0)
-    pair = saddle_points(cfg, 0.5, w, 1.0, -2.0)
-    assert pair.residual <= 1e-9
-    assert pair.s > 0
+    state, xi, zs = _saddles(cfg, 0.5, w, [1.0, -2.0])
+    for z, x in zip(zs, xi):
+        assert abs(state.H_raw(complex(z)) - x) / max(1.0, abs(x)) <= 1e-9
+    assert zs[0].imag > 0
     # saddles sit on the empirical graph
-    state = FreeConvolutionState(cfg.empirical(), 0.5)
-    assert state.y(pair.z.real) == pytest.approx(pair.z.imag, abs=1e-9)
+    for z in zs:
+        assert state.y(z.real) == pytest.approx(z.imag, abs=1e-9)
 
 
 def test_gap_saddles_are_real():
     cfg = InitialConfiguration.equispaced(-1.0, 1.0, 200).with_gap(0.0, 0.3)
     t = 0.01 * 0.3**2
     w = gap_window(cfg, t, 0.0, epsilon=0.03)
-    pair = saddle_points(cfg, t, w, 2.0, -2.0)
-    assert pair.z.imag == 0.0
-    assert pair.w.imag == 0.0
-    assert pair.s == 0.0
+    _, _, zs = _saddles(cfg, t, w, [2.0, -2.0])
+    assert np.all(zs.imag == 0.0)
+
+
+# ---------------------------------------------------------------- array inverse map
+
+ARRAY_CASES = {
+    "power-half": MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)),
+    "semicircle": SEMI,
+    "atoms": InitialConfiguration.from_quantiles(UNIFORM, 20).empirical(),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_CASES))
+def test_array_inverse_matches_scalar(name):
+    # one array solve and one solve per point agree, tails and xi = 50 included
+    state = FreeConvolutionState(ARRAY_CASES[name], 0.3)
+    xi = np.concatenate([np.linspace(-3.0, 3.0, 25), [-50.0, 50.0]])
+    zs = inverse_map(state, xi)
+    psi = psi_t(state, xi)
+    assert zs.shape == psi.shape == xi.shape
+    for k, x in enumerate(xi):
+        z = inverse_map(state, float(x))
+        assert isinstance(z, complex)
+        assert abs(zs[k] - z) <= 1e-12 * max(1.0, abs(z))
+        assert abs(psi[k] - psi_t(state, float(x))) <= 1e-12
+    assert np.all(psi[[0, -2, -1]] == 0.0)
+
+
+def test_inverse_residual_on_density_grid():
+    # the 201 points dbmlab density evaluates for kappa = 1/2
+    t = 0.22845186424458322
+    state = FreeConvolutionState(MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)), t)
+    pad = 2.0 * math.sqrt(t)
+    xi = np.linspace(-1.0 - pad, 1.0 + pad, 201)
+    for z, x in zip(inverse_map(state, xi), xi):
+        assert abs(state.H_raw(complex(z)) - x) <= 1e-10 * max(1.0, abs(x))

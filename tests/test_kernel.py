@@ -18,7 +18,6 @@ from dbmlab.freeconv import (
     FreeConvolutionState,
     gap_window,
     make_window,
-    saddle_points,
     window_scale,
 )
 from dbmlab.kernel import (
@@ -243,15 +242,11 @@ class TestCorrelation:
 
 
 def single_atom_frame_value(u, v, t=1.0):
-    """Exact rescaled value for the one-point configuration at the origin."""
+    """Exact rescaled value for the one-point configuration at the origin,
+    conjugated at the frame's anchor x0 = Re z_saddle(0) = 0."""
     h = math.pi * math.sqrt(t)
     x_u, x_v = h * u, h * v
-    xi = x_u
-    if abs(xi) <= 2.0 * math.sqrt(t):
-        x0 = xi / 2.0
-    else:
-        root = math.sqrt(xi * xi - 4.0 * t)
-        x0 = (xi + root) / 2.0 if xi > 0 else (xi - root) / 2.0
+    x0 = 0.0
     gauge = math.exp(
         -(x_u * x_u - x_v * x_v) / (2.0 * t) + (x_u - x_v) * x0 / t
     )
@@ -280,10 +275,7 @@ class TestRescaledFrame:
         # at u = 2 the frame coordinate leaves the evolved support, the
         # saddle is real, and the oscillatory part is absent
         frame = self.make_single_atom_frame()
-        sp = saddle_points(
-            InitialConfiguration.explicit([0.0]), 1.0, frame.window, 2.0, 1.0
-        )
-        assert sp.s == 0.0
+        assert frame.sine_amplitude(2.0) == 0.0
         assert frame.value(2.0, 1.0) == pytest.approx(
             single_atom_frame_value(2.0, 1.0), rel=1e-5
         )
@@ -329,9 +321,8 @@ class TestRescaledFrame:
         window = make_window(cfg.empirical(), t, 0.0)
         frame = RescaledKernelFrame(cfg, t, window)
         h = window_scale(window, cfg.n)
+        ev = KernelEvaluator(cfg, t, x0=frame.x0)
         for u, v in ((0.0, 0.0), (1.0, 0.0), (0.5, -0.5), (2.0, 1.0)):
-            sp = saddle_points(cfg, t, window, u, v)
-            ev = KernelEvaluator(cfg, t, x0=sp.x0)
             x_u = window.x_star_t + h * u
             x_v = window.x_star_t + h * v
             ref = h * gauge_to_paper(
@@ -339,6 +330,21 @@ class TestRescaledFrame:
             )
             got = frame.value(u, v)
             assert abs(got - ref) <= max(1e-6, 1e-4 * abs(ref))
+
+    def test_gauge_free_products_match_lagrange(self):
+        # K(u,v)K(v,u) carries no gauge: the frame must match the Lagrange
+        # route whatever anchor it conjugates its rows at
+        cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), 50)
+        t = 0.5
+        window = make_window(cfg.empirical(), t, 0.0)
+        frame = RescaledKernelFrame(cfg, t, window)
+        ev = KernelEvaluator(cfg, t)
+        for u, v in ((0.0, 2.0), (-1.0, 3.0), (-2.0, 2.0), (1.0, -1.5)):
+            x_u = window.x_star_t + frame.h * u
+            x_v = window.x_star_t + frame.h * v
+            ref = frame.h**2 * kernel_lagrange(ev, x_u, x_v) * kernel_lagrange(ev, x_v, x_u)
+            got = frame.value(u, v) * frame.value(v, u)
+            assert got == pytest.approx(ref, rel=1e-4), (u, v, got, ref)
 
     def test_rescaled_kernel_wrapper(self):
         frame = self.make_single_atom_frame()
@@ -350,10 +356,9 @@ class TestRescaledFrame:
         cfg = InitialConfiguration.equispaced(-1.0, 1.0, 40).with_gap(0.0, 0.3)
         t = 0.01 * 0.3**2
         window = gap_window(cfg, t, 0.0, epsilon=0.03)
-        sp = saddle_points(cfg, t, window, 1.0, -1.0)
-        assert sp.s == 0.0
-        assert sp.z.imag == 0.0
         frame = RescaledKernelFrame(cfg, t, window)
+        assert frame.sine_amplitude(1.0) == 0.0
+        assert frame.sine_amplitude(-1.0) == 0.0
         for u, v in ((0.0, 0.0), (2.0, -1.0)):
             assert abs(frame.value(u, v)) <= 1e-6
 
