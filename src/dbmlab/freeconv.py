@@ -401,11 +401,12 @@ def _closed_lorentz_sums(mu, xs, big_y):
     return lsum, msum
 
 
-def _rule_rows(mu, xs, ys):
-    """One panel rule per point x + iy, as rows padded with zero weights."""
-    rules = [_panel_rule(mu, x, y) for x, y in zip(xs, ys)]
+def _rule_rows(mu, xs, y):
+    """One panel rule per point x + iy, as rows padded with zero weights on
+    nodes one unit right of the point: an exact 0 in every sum, also at y = 0."""
+    rules = [_panel_rule(mu, x, y) for x in xs]
     width = max(s.size for s, _ in rules)
-    nodes = np.zeros((len(rules), width))
+    nodes = np.repeat(xs[:, None] + 1.0, width, axis=1)
     weights = np.zeros((len(rules), width))
     for row, (s, wd) in enumerate(rules):
         nodes[row, : s.size] = s
@@ -471,9 +472,10 @@ class FreeConvolutionState:
     Newton solver (``_newton_heights``), and H along the graph from the
     same integrals: closed forms for the semicircle and uniform kinds,
     sums over the atoms of empirical measures, and one graded panel rule
-    per point (``_panel_rule``) for the other kinds.  H is increasing along
-    the graph, so the cached graph brackets every xi at once and
-    ``inverse`` solves H = xi for a whole array in one root-finding loop.
+    per point (``_panel_rule``), shared by y and G, for the other kinds.
+    H is increasing along the graph, so the cached graph brackets every xi
+    at once and ``inverse`` solves H = xi for a whole array in one
+    root-finding loop.
     """
 
     def __init__(self, mu, t):
@@ -527,6 +529,7 @@ class FreeConvolutionState:
     # ------------------------------------------------------------ profiles
 
     def _y_profile(self, xs):
+        """Heights y(x) alone: on atoms, G costs the frame's loop a second pass."""
         mu, t = self.mu, self.t
         pts = _atoms(mu)
         if pts is not None:
@@ -539,51 +542,51 @@ class FreeConvolutionState:
             return _newton_heights(
                 lambda i, big_y: _closed_lorentz_sums(mu, xs[i], big_y), t, xs.size
             )
-        # one rule per point, graded at Newton's start height: it resolves
-        # every Lorentzian of width y met on the way up to the root
-        ys = np.empty(xs.size)
-        for j in range(0, xs.size, _RULE_BLOCK):
-            x = xs[j : j + _RULE_BLOCK]
-            nodes, weights = _rule_rows(mu, x, np.full(x.size, _Y_START * self.sqrt_t))
-            ys[j : j + _RULE_BLOCK] = _newton_heights(
-                lambda i, big_y: _row_lorentz_sums(nodes[i], weights[i], x[i], big_y),
-                t, x.size,
-            )
-        return ys
+        return self._graph_points(xs)[0]
 
-    def _g_profile(self, xs, ys):
-        """G(x + iy) at graph points, from the same sums as the heights."""
+    def _graph_points(self, xs):
+        """Heights y(x) and G(x + i y(x)), one evaluation per point."""
         mu = self.mu
         pts = _atoms(mu)
+        g = np.empty(xs.size, dtype=complex)
         if pts is not None:
-            out = np.empty(xs.size, dtype=complex)
+            ys = self._y_profile(xs)
             block = _chunked_rows(pts.size)
             for i in range(0, xs.size, block):
                 sl = slice(i, i + block)
                 dx = xs[sl, None] - pts[None, :]
                 d2 = dx**2 + ys[sl, None] ** 2
-                out.real[sl] = np.mean(dx / d2, axis=1)
-                out.imag[sl] = -ys[sl] * np.mean(np.reciprocal(d2, out=d2), axis=1)
-            return out
+                g.real[sl] = np.mean(dx / d2, axis=1)
+                g.imag[sl] = -ys[sl] * np.mean(np.reciprocal(d2, out=d2), axis=1)
+            return ys, g
         if mu.kind in ("semicircle", "uniform"):
-            return _stieltjes_closed(mu, xs + 1j * ys)
-        out = np.empty(xs.size, dtype=complex)
-        for i in range(0, xs.size, _RULE_BLOCK):
-            sl = slice(i, i + _RULE_BLOCK)
-            nodes, weights = _rule_rows(mu, xs[sl], ys[sl])
-            dx = xs[sl, None] - nodes
-            d2 = dx**2 + ys[sl, None] ** 2
-            out.real[sl] = np.einsum("ij,ij->i", weights, dx / d2)
-            out.imag[sl] = -ys[sl] * np.einsum("ij,ij->i", weights, 1.0 / d2)
+            ys = self._y_profile(xs)
+            return ys, _stieltjes_closed(mu, xs + 1j * ys)
+        # one rule per point, graded at Newton's start height: it resolves
+        # every Lorentzian of width y met on the way up to the root, and the
+        # one at the root that G integrates against
+        ys = np.empty(xs.size)
+        for j in range(0, xs.size, _RULE_BLOCK):
+            sl = slice(j, j + _RULE_BLOCK)
+            x = xs[sl]
+            nodes, weights = _rule_rows(mu, x, _Y_START * self.sqrt_t)
+            ys[sl] = y = _newton_heights(
+                lambda i, big_y: _row_lorentz_sums(nodes[i], weights[i], x[i], big_y),
+                self.t, x.size,
+            )
+            dx = x[:, None] - nodes
+            d2 = dx**2 + y[:, None] ** 2
+            g.real[sl] = np.einsum("ij,ij->i", weights, dx / d2)
+            g.imag[sl] = -y * np.einsum("ij,ij->i", weights, 1.0 / d2)
         # on-support points pinched to the axis need the principal value
         for i in np.nonzero(ys == 0.0)[0]:
             if _support_distance(mu, xs[i]) == 0.0:
-                out[i] = hilbert_transform(mu, xs[i])
-        return out
+                g[i] = hilbert_transform(mu, xs[i])
+        return ys, g
 
     def _h_graph(self, xs):
         """H(x + i y(x)) along the graph."""
-        return xs + self.t * self._g_profile(xs, self._y_profile(xs)).real
+        return xs + self.t * self._graph_points(xs)[1].real
 
     def _ensure_graph(self):
         if self._graph is not None:
@@ -609,7 +612,7 @@ class FreeConvolutionState:
             for a in anchors:
                 parts.append(a + cluster)
         xs = np.unique(np.clip(np.concatenate(parts), lo, hi))
-        ys = self._y_profile(xs)
+        ys, g = self._graph_points(xs)
         thr = max(st / 64.0, 1e-3 * st)
         for _ in range(6):
             dy = np.abs(np.diff(ys))
@@ -617,11 +620,12 @@ class FreeConvolutionState:
             if not need.any():
                 break
             mids = 0.5 * (xs[:-1][need] + xs[1:][need])
-            ym = self._y_profile(mids)
+            ym, gm = self._graph_points(mids)
             order = np.argsort(np.concatenate([xs, mids]), kind="stable")
             xs = np.concatenate([xs, mids])[order]
             ys = np.concatenate([ys, ym])[order]
-        hs = xs + self.t * self._g_profile(xs, ys).real
+            g = np.concatenate([g, gm])[order]
+        hs = xs + self.t * g.real
         self._graph = _Graph(xs, ys, hs, np.maximum.accumulate(hs))
         return self._graph
 
@@ -633,10 +637,7 @@ class FreeConvolutionState:
         A scalar xi gives a complex number, an array one complex array of
         its shape.
         """
-        arr = np.asarray(xi, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("xi must be finite")
-        xs = self._solve(arr.ravel())
+        xs = self._solve(xi)
         return _shaped(xi, xs + 1j * self._y_profile(xs))
 
     def _bracket(self, xi):
@@ -678,12 +679,15 @@ class FreeConvolutionState:
         return a, b, fa, fb
 
     def _solve(self, xi):
-        """x with H(x + i y(x)) = xi, by safeguarded Illinois steps.
+        """x with H(x + i y(x)) = xi, flattened, by safeguarded Illinois steps.
 
         Each step evaluates H at all open brackets at once.  A bracket
         settles when narrower than _XTOL + _RTOL |x|; new points stay
         half that far inside, so a root that close to an end is straddled.
         """
+        xi = np.asarray(xi, dtype=float).ravel()
+        if not np.all(np.isfinite(xi)):
+            raise ValueError("xi must be finite")
         a, b, fa, fb = self._bracket(xi)
         wa, wb = fa.copy(), fb.copy()
         # +1 where the last step moved b, -1 where it moved a
@@ -716,12 +720,8 @@ class FreeConvolutionState:
 
     def psi(self, xi):
         """Density of mu evolved to time t at xi; a scalar or an array like xi."""
-        z = np.ravel(self.inverse(xi))
-        out = np.zeros(z.size)
-        up = z.imag > 0.0
-        g = self._g_profile(z.real[up], z.imag[up])
-        out[up] = np.maximum(-g.imag / math.pi, 0.0)
-        return _shaped(xi, out)
+        ys, g = self._graph_points(self._solve(xi))
+        return _shaped(xi, np.where(ys > 0.0, np.maximum(-g.imag / math.pi, 0.0), 0.0))
 
 
 def _shaped(like, values):

@@ -376,28 +376,37 @@ class RescaledKernelFrame:
         self.h = window_scale(window, self.n)
         self.dc_tol = float(dc_tol)
         self.max_levels = int(max_levels)
-        self._zsad: dict[float, complex] = {}
-        self._vref: dict[float, float] = {}
+        # window coordinate a -> (z_saddle(a), Re phi_hat(z_saddle(a), a))
+        self._saddles: dict[float, tuple[complex, float]] = {}
         self._pairs: dict[tuple[float, float], float] = {}
         self._lump_cache = None
         self._far_lumps: dict[tuple[int, int], tuple | None] = {}
         # largest node count, both contours and both halves, of an accepted row
         self.quadrature_m = 0
         # Re z_saddle(0), reported as the frame's anchor
-        self.x0 = float(self._saddle(0.0).real)
+        self.x0 = self._saddles_at((0.0,))[0][0].real
 
     # -- geometry ----------------------------------------------------------
 
-    def _saddle(self, a: float) -> complex:
-        z = self._zsad.get(a)
-        if z is None:
+    def _saddles_at(self, coords) -> list[tuple[complex, float]]:
+        """Saddle and its reference Re phi_hat at each window coordinate.
+
+        Coordinates not seen before are solved in one inverse-map call, and
+        each new saddle is checked against H by its own exact sum.
+        """
+        new = [a for a in dict.fromkeys(coords) if a not in self._saddles]
+        if new:
+            a = np.array(new)
             xi = self.window.x_star_t + self.h * a
-            z = complex(self.state.inverse(xi))
-            resid = abs(self.state.H_raw(z) - xi) / max(1.0, abs(xi))
-            if resid > 1e-9:
-                raise NonConvergence(f"saddle residual {resid:.3e} above 1e-9")
-            self._zsad[a] = z
-        return z
+            zs = self.state.inverse(xi)
+            for x, z in zip(xi.tolist(), zs.tolist()):
+                resid = abs(self.state.H_raw(z) - x) / max(1.0, abs(x))
+                if resid > 1e-9:
+                    raise NonConvergence(f"saddle residual {resid:.3e} above 1e-9")
+            b, l = self._phi_parts(zs)
+            refs = (b - self.h * a * l).real
+            self._saddles.update(zip(new, zip(zs.tolist(), refs.tolist())))
+        return [self._saddles[a] for a in coords]
 
     def _phi_parts(self, q: np.ndarray):
         """B(q) and L(q) with phi_hat(q, a) = B(q) - h*a*L(q)."""
@@ -414,19 +423,6 @@ class RescaledKernelFrame:
             b[sl] += 1j * np.sum(np.arctan2(dy, dx), axis=1)
         return b, (n / t) * (q - xst)
 
-    def _phi_hat_scalar(self, q: complex, a: float) -> complex:
-        arr = np.array([q], dtype=complex)
-        b, l = self._phi_parts(arr)
-        return complex(b[0] - self.h * a * l[0])
-
-    def _v_ref(self, v: float) -> float:
-        ref = self._vref.get(v)
-        if ref is None:
-            ws = self._saddle(v)
-            ref = self._phi_hat_scalar(ws, v).real
-            self._vref[v] = ref
-        return ref
-
     def _beta(self, x0: float, s: float) -> float:
         d2 = (x0 - self.points) ** 2
         if s > 0.0:
@@ -439,21 +435,14 @@ class RescaledKernelFrame:
     def _lumps(self):
         if self._lump_cache is None:
             g = self.state._ensure_graph()
-            pos = g.ys > 0.0
-            lumps = []
-            i = 0
-            while i < pos.size:
-                if pos[i]:
-                    j = i
-                    while j + 1 < pos.size and pos[j + 1]:
-                        j += 1
-                    lo = g.xs[max(i - 1, 0)]
-                    hi = g.xs[min(j + 1, pos.size - 1)]
-                    lumps.append((float(lo), float(hi)))
-                    i = j + 1
-                else:
-                    i += 1
-            self._lump_cache = lumps
+            # runs [i, j) of positive heights, widened by one graph point a side
+            pos = np.concatenate([[False], g.ys > 0.0, [False]])
+            ends = np.flatnonzero(np.diff(pos))
+            last = g.xs.size - 1
+            self._lump_cache = [
+                (float(g.xs[max(i - 1, 0)]), float(g.xs[min(j, last)]))
+                for i, j in zip(ends[::2], ends[1::2])
+            ]
         return self._lump_cache
 
     # -- contour quadrature --------------------------------------------------
@@ -573,12 +562,11 @@ class RescaledKernelFrame:
 
     def _column(self, u: float, vs: np.ndarray, level: int):
         n, t, h = self.n, self.t, self.h
-        zs = self._saddle(u)
-        x0, s = float(zs.real), float(zs.imag)
+        (zs, ref_z), *at_v = self._saddles_at((u, *vs))
+        x0, s = zs.real, zs.imag
         beta = self._beta(x0, s)
         width = 1.0 / math.sqrt(beta)
 
-        ref_z = self._phi_hat_scalar(zs, u).real
         sig, wsig = self._z_line(x0, s, width, level)
         bz, lz = self._phi_parts(x0 + 1j * sig)
         phi_z = bz - h * u * lz
@@ -587,7 +575,7 @@ class RescaledKernelFrame:
         a = wsig * np.exp(phi_z - ref_z)
 
         wn, wst, bw, lw = self._w_contour(x0, s, width, level)
-        ref_w = np.array([self._v_ref(v) for v in vs])
+        ref_w = np.array([ref for _, ref in at_v])
         theta = h * n * s / t
         du = u - vs
         # one gauge for all rows, at self.x0; the crossing residue carries
@@ -651,6 +639,7 @@ class RescaledKernelFrame:
     def values(self, us, vs) -> np.ndarray:
         us = [float(u) for u in np.atleast_1d(us)]
         vs = tuple(float(v) for v in np.atleast_1d(vs))
+        self._saddles_at(us + list(vs))
         out = np.empty((len(us), len(vs)))
         for i, u in enumerate(us):
             out[i] = self._row(u, vs)
@@ -658,7 +647,7 @@ class RescaledKernelFrame:
 
     def sine_amplitude(self, u) -> float:
         """Peak of the oscillatory part at u; exactly 0 when the saddle is real."""
-        s = float(self._saddle(float(u)).imag)
+        s = self._saddles_at((float(u),))[0][0].imag
         return self.h * self.n * s / (math.pi * self.t)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbmlab import freeconv
 from dbmlab.errors import OutsideDomain, PrincipalValueRequired
 from dbmlab.freeconv import (
     FreeConvolutionState,
@@ -554,3 +555,59 @@ def test_inverse_residual_on_density_grid():
     xi = np.linspace(-1.0 - pad, 1.0 + pad, 201)
     for z, x in zip(inverse_map(state, xi), xi):
         assert abs(state.H_raw(complex(z)) - x) <= 1e-10 * max(1.0, abs(x))
+
+
+# ---------------------------------------------------------------- graph points
+
+# two pieces with a gap around 0, where the graph sits on the axis at t = 0.01
+GAPPED = MeasureSpec.piecewise([((-1.0, -0.5), (1.0,)), ((0.5, 1.0), (1.0,))])
+
+
+def test_batched_graph_points_match_single_points():
+    # rows padded to the widest rule must add nothing, also at x = 0, y = 0
+    state = FreeConvolutionState(GAPPED, 0.01)
+    xs = np.array([0.0, 0.7, -0.75, 0.3, 1.2])
+    assert np.all(np.isfinite(state._h_graph(xs)))
+    ys, g = state._graph_points(xs)
+    assert ys[0] == ys[3] == 0.0 and ys[1] > 0.0
+    assert np.all(np.isfinite(g))
+    for k, x in enumerate(xs):
+        y1, g1 = state._graph_points(np.array([x]))
+        assert y1[0] == ys[k]
+        assert abs(g1[0] - g[k]) <= 1e-14 * max(1.0, abs(g[k]))
+
+
+@pytest.mark.parametrize(
+    "mu, t",
+    [
+        (MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)), 0.2285),
+        (MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)), 1e-3),
+        (MeasureSpec.power(2.0, 0.0, (-1.0, 1.0)), 0.05),
+        (GAPPED, 0.01),
+    ],
+    ids=["power-half", "power-half-small-t", "power-two", "gapped"],
+)
+def test_graph_points_g_matches_stieltjes(mu, t):
+    # G on the rule graded at Newton's start height against stieltjes, which
+    # grades its own rule at the final height; 60 points miss x = 0, where
+    # the gapped measure's G vanishes
+    xs = np.linspace(-1.5, 1.5, 60)
+    ys, g = FreeConvolutionState(mu, t)._graph_points(xs)
+    pinched = (ys == 0.0) & np.array([freeconv._support_distance(mu, x) == 0.0 for x in xs])
+    assert np.count_nonzero(ys) > 0
+    for x, y, got in zip(xs[~pinched], ys[~pinched], g[~pinched]):
+        ref = stieltjes(mu, complex(x, y))
+        assert abs(got - ref) <= 1e-12 * abs(ref), (x, y)
+
+
+def test_one_panel_rule_per_graph_point(monkeypatch):
+    # y and G at a graph point come from one rule, not one each
+    state = FreeConvolutionState(MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)), 0.2285)
+    calls = []
+    rule = freeconv._panel_rule
+    monkeypatch.setattr(
+        freeconv, "_panel_rule", lambda *args: calls.append(args) or rule(*args)
+    )
+    xs = np.linspace(-1.2, 1.2, 7)
+    state._h_graph(xs)
+    assert len(calls) == xs.size

@@ -490,3 +490,19 @@ def test_column_matches_dense_double_sum(make_frame, monkeypatch):
     # the residual is the rounding of one sum over both loop halves; one
     # that is exactly 0 everywhere would make the realness check vacuous
     assert any(resid > 0.0 for _, resid, _ in cols.values())
+
+
+def test_frame_solves_new_saddles_in_one_inverse_call(monkeypatch):
+    frame = _bulk_uniform_frame()
+    calls = []
+    inverse = frame.state.inverse
+    monkeypatch.setattr(
+        frame.state, "inverse", lambda xi: calls.append(np.size(xi)) or inverse(xi)
+    )
+    grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    frame.values(grid, grid)
+    # u = 0 was solved for the anchor; the other four come in one call
+    assert calls == [4]
+    frame.values(grid, grid)
+    frame.sine_amplitude(0.5)
+    assert calls == [4]
