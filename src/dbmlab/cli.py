@@ -219,19 +219,28 @@ def validate_config(tree: dict) -> RunConfig:
     return RunConfig(tree=tree)
 
 
+def _construct(make, *args):
+    """make(*args), with the ValueError of a bad config value as a ConfigError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
+
+
 def build_measure(cfg: RunConfig) -> MeasureSpec:
     blk = dict(cfg.block("measure"))
     if not blk:
         raise ConfigError("config block 'measure' is required for this command")
     kind = blk.pop("kind", None)
     if kind == "semicircle":
-        mu = MeasureSpec.semicircle(blk.pop("variance", 1.0))
+        mu = _construct(MeasureSpec.semicircle, blk.pop("variance", 1.0))
     elif kind == "uniform":
-        mu = MeasureSpec.uniform(blk.pop("a", -1.0), blk.pop("b", 1.0))
+        mu = _construct(MeasureSpec.uniform, blk.pop("a", -1.0), blk.pop("b", 1.0))
     elif kind == "power":
         if "exponent" not in blk:
             raise ConfigError("power measure needs 'exponent'")
-        mu = MeasureSpec.power(
+        mu = _construct(
+            MeasureSpec.power,
             blk.pop("exponent"),
             blk.pop("center", 0.0),
             (blk.pop("a", -1.0), blk.pop("b", 1.0)),
@@ -249,19 +258,18 @@ def build_configuration(cfg: RunConfig) -> InitialConfiguration:
         pts = cfg.require("points")
         if not pts:
             raise ConfigError("explicit generator needs a nonempty 'points' list")
-        return InitialConfiguration.explicit(pts)
+        return _construct(InitialConfiguration.explicit, pts)
     n = int(cfg.require("n"))
     if gen == "quantiles":
-        return InitialConfiguration.from_quantiles(build_measure(cfg), n)
+        return _construct(InitialConfiguration.from_quantiles, build_measure(cfg), n)
     if gen in ("equispaced", "equispaced_gap"):
         a, b = build_measure(cfg).hull()
-        conf = InitialConfiguration.equispaced(a, b, n)
+        conf = _construct(InitialConfiguration.equispaced, a, b, n)
         if gen == "equispaced_gap":
             if "gap_half_width" not in cfg.tree:
                 raise ConfigError("equispaced_gap needs 'gap_half_width'")
-            conf = conf.with_gap(
-                float(cfg.get("gap_center", 0.0)), float(cfg.require("gap_half_width"))
-            )
+            center = float(cfg.get("gap_center", 0.0))
+            conf = _construct(conf.with_gap, center, float(cfg.require("gap_half_width")))
         return conf
     raise ConfigError(f"unknown generator {gen!r}")
 
@@ -276,9 +284,9 @@ def _u_grid(cfg: RunConfig) -> np.ndarray:
     return np.arange(-k, k + 1) * step
 
 
-def build_frame(cfg: RunConfig, conf=None, n=None, t=None) -> RescaledKernelFrame:
+def build_frame(cfg: RunConfig, conf=None) -> RescaledKernelFrame:
     conf = build_configuration(cfg) if conf is None else conf
-    t = float(cfg.require("t")) if t is None else float(t)
+    t = float(cfg.require("t"))
     blk = cfg.block("window")
     x_star = float(blk.get("x_star", 0.0))
     grid = _u_grid(cfg)
@@ -419,13 +427,15 @@ def cmd_gap(cfg: RunConfig, out: Path) -> int:
     if "epsilon" not in blk:
         raise ConfigError("gap command needs window.epsilon")
     eps = float(blk["epsilon"])
+    n_samples = int(cfg.get("samples", 2000))
+    if n_samples < 1:
+        raise ConfigError(f"gap needs samples >= 1, got {n_samples}")
     frame = build_frame(cfg, conf=conf)
     center = frame.window.x_star_t
     interval = (center - eps, center + eps)
     quad = cfg.block("quadrature")
     m0 = int(quad.get("fredholm_m0", 8))
     fred = gap_probability(GapProblem(_frame_gap_kernel(frame), (-1.0, 1.0), m=m0))
-    n_samples = int(cfg.get("samples", 2000))
     spectra = sample_spectra(conf, t, n_samples, seed=cfg.seed, threads=cfg.threads)
     freq, se = empirical_gap_frequency(spectra, interval)
     blob = {

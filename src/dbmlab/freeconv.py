@@ -514,17 +514,17 @@ class FreeConvolutionState:
         return self.H_raw(z)
 
     def forward(self, x):
-        """Real image H(x + i y(x)) of a point transported along the flow."""
-        x = float(x)
-        y = self.y(x)
-        if y == 0.0:
-            return x + self.t * hilbert_transform(self.mu, x)
-        val = complex(x, y) + self.t * stieltjes(self.mu, complex(x, y))
-        if abs(val.imag) > 1e-7 * max(1.0, self.sqrt_t):
+        """Real image H(x + i y(x)) of points transported along the flow; a
+        scalar or an array like x."""
+        xs = np.asarray(x, dtype=float).ravel()
+        ys, g = self._graph_points(xs)
+        im = np.where(ys > 0.0, ys + self.t * g.imag, 0.0)
+        if np.any(np.abs(im) > 1e-7 * max(1.0, self.sqrt_t)):
             raise NonConvergence(
-                f"graph point failed to map to the real axis: Im = {val.imag:.3e}"
+                "graph point failed to map to the real axis: "
+                f"Im = {im[np.argmax(np.abs(im))]:.3e}"
             )
-        return float(val.real)
+        return _shaped(x, xs + self.t * g.real)
 
     # ------------------------------------------------------------ profiles
 
@@ -799,20 +799,12 @@ class Window:
 def make_window(mu, t, x_star, u_grid=None):
     """Bulk window: requires positive local density of the evolved measure."""
     state = FreeConvolutionState(mu, t)
-    x_star = float(x_star)
-    y_star = state.y(x_star)
+    y_star = state.y(float(x_star))
     if y_star <= 0.0:
         raise OutsideDomain(
             "y_t(x*) = 0: no local density at x*; use gap_window for gap frames"
         )
-    return Window(
-        x_star=x_star,
-        t=state.t,
-        x_star_t=state.forward(x_star),
-        c_t=y_star / (math.pi * state.t),
-        epsilon=None,
-        u_grid=tuple(u_grid) if u_grid is not None else DEFAULT_U_GRID,
-    )
+    return _window(state, x_star, y_star / (math.pi * state.t), None, u_grid)
 
 
 def gap_window(config, t, x_star, epsilon, u_grid=None):
@@ -821,16 +813,20 @@ def gap_window(config, t, x_star, epsilon, u_grid=None):
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     state = FreeConvolutionState(config, t)
-    x_star = float(x_star)
-    if state.y(x_star) > 0.0:
+    if state.y(float(x_star)) > 0.0:
         raise OutsideDomain(
             "x* carries local density at time t; use make_window for bulk frames"
         )
+    return _window(state, x_star, None, epsilon, u_grid)
+
+
+def _window(state, x_star, c_t, epsilon, u_grid):
+    x_star = float(x_star)
     return Window(
         x_star=x_star,
         t=state.t,
         x_star_t=state.forward(x_star),
-        c_t=None,
+        c_t=c_t,
         epsilon=epsilon,
         u_grid=tuple(u_grid) if u_grid is not None else DEFAULT_U_GRID,
     )

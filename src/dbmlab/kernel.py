@@ -31,6 +31,16 @@ from .panels import panel_nodes
 # e^-60: below any tolerance this module promises, with margin for sums
 _DROP_CUTOFF = 60.0
 
+# bytes of one block's largest temporary: an x-block of the Lagrange sums,
+# or each of the two real Cauchy temporaries of a w-block in _loop_sum
+_BLOCK_BYTES = 2_000_000
+
+
+def _x_blocks(size: int, bytes_per_x: int) -> list[slice]:
+    """Slices of range(size) whose temporaries stay under _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // bytes_per_x)
+    return [slice(i, i + step) for i in range(0, size, step)]
+
 
 @functools.cache
 def _hermgauss(m: int):
@@ -50,22 +60,14 @@ def sine_kernel(u, v):
 def _split_duplicates(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Separate exactly coincident points symmetrically by a relative eps."""
     pts = np.sort(points)
-    if pts.size > 1 and np.all(np.diff(pts) > 0.0):
-        return pts, 0.0
-    if pts.size == 1:
+    if pts.size == 1 or np.all(np.diff(pts) > 0.0):
         return pts, 0.0
     spread = float(pts[-1] - pts[0])
     eps = 1e-9 * (spread if spread > 0.0 else max(1.0, abs(float(pts[0]))))
-    out = pts.copy()
-    i = 0
-    while i < pts.size:
-        j = i
-        while j + 1 < pts.size and pts[j + 1] == pts[i]:
-            j += 1
-        k = j - i + 1
-        if k > 1:
-            out[i : j + 1] += (np.arange(k) - (k - 1) / 2.0) * eps
-        i = j + 1
+    # each run of k equal points moves by (rank - (k - 1) / 2) eps
+    _, first, k = np.unique(pts, return_index=True, return_counts=True)
+    rank = np.arange(pts.size) - np.repeat(first, k)
+    out = pts + (rank - (np.repeat(k, k) - 1) / 2.0) * eps
     if np.any(np.diff(out) <= 0.0):
         raise ConfigError(
             "duplicate points too tightly clustered to split; "
@@ -102,55 +104,61 @@ class KernelEvaluator:
 
     # -- z-line quadrature core -------------------------------------------
 
-    def _z_core(self, x, m, shift):
+    def _z_core(self, xs, m, shift):
+        """Per x: reference exponent p1, line sums b (X x n), |b| sums, noise scale."""
         n, t = self.n, self.t
-        a = self.points
         s, w = _hermgauss(m)
         c = math.sqrt(2.0 * t / n)
-        z = (x + shift) + 1j * (c * s)
         with np.errstate(divide="ignore"):
-            lz = np.log(z[:, None] - a[None, :])
             logw = np.log(w)
-        stot = lz.sum(axis=1)
-        extra = (n / (2.0 * t)) * shift * shift + 1j * (
-            shift * math.sqrt(2.0 * n / t)
-        ) * s
-        am = (stot + logw + extra)[:, None] - lz - self._d[None, :]
-        p1 = float(np.max(am.real))
-        e = np.exp(am - p1)
-        b = e.sum(axis=0)
-        bmag = np.abs(e).sum(axis=0)
-        # Hermite weights that underflow to 0 (from M = 512 on) give -inf
-        # exponents; their terms are exact zeros and carry no rounding
-        ar = am.real
-        scale = max(1.0, float(np.max(np.abs(ar), where=np.isfinite(ar), initial=0.0)))
+        rot = 1j * (shift * math.sqrt(2.0 * n / t))
+        extra = (n / (2.0 * t)) * shift * shift + rot * s
+        p1, scale = np.empty(xs.size), np.empty(xs.size)
+        b = np.empty((xs.size, n), dtype=complex)
+        bmag = np.empty((xs.size, n))
+        for sl in _x_blocks(xs.size, 16 * m * n):
+            z = (xs[sl, None] + shift) + 1j * (c * s)
+            with np.errstate(divide="ignore"):
+                lz = np.log(z[:, :, None] - self.points)
+            stot = lz.sum(axis=2)
+            am = (stot + logw + extra)[:, :, None] - lz - self._d
+            ar = am.real
+            p1[sl] = np.max(ar, axis=(1, 2))
+            e = np.exp(am - p1[sl, None, None])
+            b[sl] = e.sum(axis=1)
+            bmag[sl] = np.abs(e).sum(axis=1)
+            # Hermite weights that underflow to 0 (from M = 512 on) give -inf
+            # exponents; their terms are exact zeros and carry no rounding
+            top = np.max(np.abs(ar), axis=(1, 2), where=np.isfinite(ar), initial=0.0)
+            scale[sl] = np.maximum(1.0, top)
         return p1, b, bmag, scale
 
-    def _rows(self, x, ys, m, shift):
+    def _rows(self, xs, ys, m, shift):
+        """K(xs[i], ys[i, j]) and its noise; ys broadcasts against X x 1."""
         n, t = self.n, self.t
-        p1, b, bmag, scale = self._z_core(x, m, shift)
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        ys = np.broadcast_to(ys, np.broadcast_shapes((xs.size, 1), np.shape(ys)))
+        p1, b, bmag, scale = self._z_core(xs, m, shift)
         pref = math.sqrt(2.0 * n / t) / (2.0 * math.pi)
-        q = -(n / (2.0 * t)) * (self.points[:, None] - ys[None, :]) ** 2
         absb = np.abs(b)
         with np.errstate(divide="ignore"):
             lb = np.where(absb > 0.0, np.log(np.maximum(absb, 1e-300)), -np.inf)
             lmag = np.where(bmag > 0.0, np.log(np.maximum(bmag, 1e-300)), -np.inf)
         phase = np.where(absb > 0.0, b / np.maximum(absb, 1e-300), 0.0)
-        m2 = q + (p1 + lb)[:, None]
-        p2 = np.max(m2, axis=0)
-        dead = ~np.isfinite(p2)
-        p2 = np.where(dead, 0.0, p2)
-        terms = (self._sign * phase)[:, None] * np.exp(m2 - p2[None, :])
-        vals = pref * np.exp(p2) * terms.sum(axis=0)
-        nm = q + (p1 + lmag)[:, None]
-        noise = (
-            pref
-            * np.exp(p2)
-            * np.exp(nm - p2[None, :]).sum(axis=0)
-            * (5e-16 * scale)
-        )
-        vals = np.where(dead, 0.0, vals)
-        noise = np.where(dead, 0.0, noise)
+        vals = np.empty(ys.shape, dtype=complex)
+        noise = np.empty(ys.shape)
+        for sl in _x_blocks(xs.size, 16 * n * ys.shape[1]):
+            q = -(n / (2.0 * t)) * (self.points[:, None] - ys[sl, None, :]) ** 2
+            m2 = q + (p1[sl, None] + lb[sl])[:, :, None]
+            p2 = np.max(m2, axis=1)
+            dead = ~np.isfinite(p2)
+            p2 = np.where(dead, 0.0, p2)
+            terms = (self._sign * phase[sl])[:, :, None] * np.exp(m2 - p2[:, None, :])
+            nm = q + (p1[sl, None] + lmag[sl])[:, :, None]
+            err = pref * np.exp(p2) * np.exp(nm - p2[:, None, :]).sum(axis=1)
+            err = err * (5e-16 * scale[sl, None])
+            vals[sl] = np.where(dead, 0.0, pref * np.exp(p2) * terms.sum(axis=1))
+            noise[sl] = np.where(dead, 0.0, err)
         return vals, noise
 
     def _doubled(self, level, rtol, cap_msg, stall_msg):
@@ -173,10 +181,10 @@ class KernelEvaluator:
                 )
             vals, noise, m = vals2, noise2, m2
 
-    def _converged_rows(self, x, ys, shift=0.0):
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    def _converged_rows(self, xs, ys, shift=0.0):
+        """K(xs[i], ys[i, j]) at one M, the largest any row needs."""
         vals, m = self._doubled(
-            lambda m: self._rows(x, ys, m, shift),
+            lambda m: self._rows(xs, ys, m, shift),
             1e-8,
             "node cap m_max={m_max} forbids doubling from m0={m}; "
             "the quadrature cannot be verified",
@@ -197,14 +205,15 @@ class KernelEvaluator:
 
     # -- biorthogonal family ----------------------------------------------
 
-    def _p_hat_all(self, x, shift=0.0):
+    def _p_hat_all(self, xs, shift=0.0):
+        """All n members of the polynomial half at each x, X x n, at one M."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
         pref = math.sqrt(2.0 * self.n / self.t) / (2.0 * math.pi)
 
         def level(m):
-            p1, b, bmag, scale = self._z_core(x, m, shift)
-            vals = pref * np.exp(p1) * self._sign * b
-            noise = pref * np.exp(p1) * bmag * (5e-16 * scale)
-            return vals, noise
+            p1, b, bmag, scale = self._z_core(xs, m, shift)
+            top = (pref * np.exp(p1))[:, None]
+            return top * self._sign * b, top * bmag * (5e-16 * scale[:, None])
 
         return self._doubled(
             level, 1e-10, "node cap forbids doubling", "p-hat quadrature not converged at cap"
@@ -213,19 +222,16 @@ class KernelEvaluator:
 
 def kernel_lagrange(ev: KernelEvaluator, x, y, contour_shift=0.0) -> float:
     """Ungauged kernel value via the Lagrange quadrature route."""
-    return float(ev._converged_rows(float(x), [float(y)], float(contour_shift))[0])
+    return float(kernel_matrix(ev, x, y, contour_shift)[0, 0])
 
 
 def kernel_matrix(ev: KernelEvaluator, xs, ys, contour_shift=0.0) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    out = np.empty((xs.size, ys.size))
-    for i, x in enumerate(xs):
-        out[i] = ev._converged_rows(float(x), ys, float(contour_shift))
-    return out
+    return ev._converged_rows(xs, ys[None, :], float(contour_shift))
 
 
-def gauge_log(ev: KernelEvaluator, x, y) -> float:
+def gauge_log(ev: KernelEvaluator, x, y):
+    """Log of the conjugation factor at (x, y); x and y broadcast."""
     n, t = ev.n, ev.t
     return (n / (2.0 * t)) * ((y * y - x * x) - 2.0 * ev.x0 * (y - x))
 
@@ -245,7 +251,7 @@ def kernel_paper(ev: KernelEvaluator, x, y) -> float:
 
 def lagrange_p_hat(ev: KernelEvaluator, k, x) -> float:
     """k-th member of the polynomial half of the biorthogonal pair."""
-    return float(ev._p_hat_all(float(x))[int(k)])
+    return float(ev._p_hat_all(x)[0, int(k)])
 
 
 def biorthogonality_check(ev: KernelEvaluator) -> float:
@@ -253,14 +259,11 @@ def biorthogonality_check(ev: KernelEvaluator) -> float:
     n, t = ev.n, ev.t
     s, w = _hermgauss(128)
     c = math.sqrt(2.0 * t / n)
-    defect = 0.0
-    for k in range(n):
-        nodes = ev.points[k] + c * s
-        pmat = np.stack([ev._p_hat_all(float(x)) for x in nodes])
-        col = c * (w[:, None] * pmat).sum(axis=0)
-        col[k] -= 1.0
-        defect = max(defect, float(np.max(np.abs(col))))
-    return defect
+    # row k pairs every p-hat with the Gaussian around point k
+    nodes = ev.points[:, None] + c * s
+    pmat = ev._p_hat_all(nodes.ravel()).reshape(n, s.size, n)
+    pairing = c * (w[:, None] * pmat).sum(axis=1)
+    return float(np.max(np.abs(pairing - np.eye(n))))
 
 
 def _diag_interval(ev: KernelEvaluator) -> tuple[float, float]:
@@ -276,9 +279,7 @@ def kernel_trace(ev: KernelEvaluator, tol=1e-7) -> float:
     while panels <= 1024:
         edges = np.linspace(lo, hi, panels + 1)
         nodes, wts = panel_nodes(edges, 16)
-        diag = np.array(
-            [ev._converged_rows(float(x), [float(x)])[0] for x in nodes]
-        )
+        diag = ev._converged_rows(nodes, nodes[:, None])[:, 0]
         val = float(wts @ diag)
         if prev is not None and abs(val - prev) <= max(tol, 1e-12 * ev.n):
             return val
@@ -294,8 +295,8 @@ def projection_defect(ev: KernelEvaluator, x, y) -> float:
     target = kernel_lagrange(ev, x, y)
     edges = np.linspace(lo, hi, 65)
     nodes, wts = panel_nodes(edges, 16)
-    row = ev._converged_rows(x, nodes)
-    col = np.array([ev._converged_rows(float(z), [y])[0] for z in nodes])
+    row = ev._converged_rows(x, nodes[None, :])[0]
+    col = ev._converged_rows(nodes, [[y]])[:, 0]
     return float(abs(np.sum(wts * row * col) - target))
 
 
@@ -303,18 +304,10 @@ def correlation_function(ev: KernelEvaluator, pts) -> float:
     """k-point correlation determinant of the gauge-fixed kernel."""
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
     mat = kernel_matrix(ev, pts, pts)
-    glog = (ev.n / (2.0 * ev.t)) * (
-        (pts[None, :] ** 2 - pts[:, None] ** 2)
-        - 2.0 * ev.x0 * (pts[None, :] - pts[:, None])
-    )
-    return float(np.linalg.det(mat * np.exp(glog)))
+    return float(np.linalg.det(mat * np.exp(gauge_log(ev, pts[:, None], pts[None, :]))))
 
 
 # -- rescaled double-contour frames ---------------------------------------
-
-# bytes of the two real Cauchy temporaries of one w-block in _loop_sum
-_BLOCK_BYTES = 2_000_000
-
 
 def _loop_sum(x0: float, sig: np.ndarray, a: np.ndarray, wn: np.ndarray, q: np.ndarray):
     """Double sum of a(z) q(w) / (z - w) over both halves of both contours, times i.

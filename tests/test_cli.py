@@ -30,6 +30,20 @@ seed = 3
 """
 
 
+GAP_CONF = """
+measure {
+  kind = uniform
+}
+n = 10
+generator = equispaced_gap
+gap_half_width = 0.3
+t = 0.0009
+window {
+  epsilon = 0.03
+}
+"""
+
+
 def write_conf(tmp_path, text, name="run.conf"):
     p = tmp_path / name
     p.write_text(text)
@@ -329,6 +343,23 @@ class TestExitCodes:
     def test_unknown_key_exits_2(self, tmp_path):
         conf = write_conf(tmp_path, "wibble = 3\n")
         assert cli.main(["density", "--config", str(conf)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("gap", GAP_CONF + "samples = 0\n"),
+            ("gap", GAP_CONF + "samples = -3\n"),
+            ("density", "measure {\n kind = uniform\n a = 1\n b = -1\n}\nt = 0.5\n"),
+            ("kernel", KERNEL_CONF.replace("n = 4", "n = 0")),
+            ("density", "measure {\n kind = power\n exponent = -1\n}\nt = 0.5\n"),
+        ],
+        ids=["samples-zero", "samples-negative", "uniform-reversed", "quantiles-n-zero",
+             "power-negative-exponent"],
+    )
+    def test_invalid_value_exits_2(self, tmp_path, command, text):
+        conf = write_conf(tmp_path, text)
+        rc = cli.main([command, "--config", str(conf), "--out", str(tmp_path / "o")])
+        assert rc == 2
 
     def test_nonconvergence_exits_3(self, tmp_path):
         conf = write_conf(

@@ -611,3 +611,23 @@ def test_one_panel_rule_per_graph_point(monkeypatch):
     xs = np.linspace(-1.2, 1.2, 7)
     state._h_graph(xs)
     assert len(calls) == xs.size
+
+
+def test_forward_reads_one_rule_per_point(monkeypatch):
+    # forward takes y and G from one graph evaluation, on scalars or arrays
+    mu = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
+    state = FreeConvolutionState(mu, 0.2285)
+    xs = np.array([-2.5, -0.9, -0.2, 0.0, 0.35, 1.05])
+    singles = [state.forward(float(x)) for x in xs]
+    calls = []
+    rule = freeconv._panel_rule
+    monkeypatch.setattr(
+        freeconv, "_panel_rule", lambda *args: calls.append(args) or rule(*args)
+    )
+    got = forward_map(state, xs)
+    assert len(calls) == xs.size
+    assert got.shape == xs.shape
+    assert np.all(np.abs(got - singles) <= 1e-15 * np.maximum(1.0, np.abs(got)))
+    calls.clear()
+    make_window(mu, 0.2285, 0.3)
+    assert len(calls) <= 2

@@ -88,16 +88,17 @@ class TestSinglePointClosedForm:
             )
 
     def test_matrix_agrees_with_scalar(self):
-        ev = KernelEvaluator([0.0], 1.0)
         xs = [0.0, 0.5]
         ys = [-0.3, 0.0, 1.0]
-        mat = kernel_matrix(ev, xs, ys)
-        assert mat.shape == (2, 3)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                assert mat[i, j] == pytest.approx(
-                    kernel_lagrange(ev, x, y), rel=1e-12
-                )
+        for points, t in (([0.0], 1.0), ([-1.0, 0.2, 0.9], 0.5)):
+            ev = KernelEvaluator(points, t)
+            mat = kernel_matrix(ev, xs, ys)
+            assert mat.shape == (2, 3)
+            for i, x in enumerate(xs):
+                for j, y in enumerate(ys):
+                    assert mat[i, j] == pytest.approx(
+                        kernel_lagrange(ev, x, y), rel=1e-12
+                    )
 
 
 class TestQuadrature:
@@ -122,6 +123,24 @@ class TestQuadrature:
         ev = KernelEvaluator(cfg, 0.5, m_nodes=64, m_max=64)
         with pytest.raises(NonConvergence):
             kernel_lagrange(ev, 0.3, -0.2)
+
+    def test_one_z_line_pass_per_node_count(self, monkeypatch):
+        # every x of a kernel matrix and every node of the biorthogonality
+        # check go through the z-line sums together, once per doubling level
+        cfg = InitialConfiguration.explicit([-1.0, 0.2, 0.9])
+        ev = KernelEvaluator(cfg, 0.5)
+        core, calls = ev._z_core, []
+        monkeypatch.setattr(
+            ev, "_z_core", lambda xs, m, shift: calls.append(m) or core(xs, m, shift)
+        )
+        for check in (
+            lambda: kernel_matrix(ev, np.linspace(-1.0, 1.0, 5), [0.1, 0.4]),
+            lambda: biorthogonality_check(ev),
+        ):
+            calls.clear()
+            check()
+            assert len(calls) >= 2
+            assert calls == [ev.m0 << k for k in range(len(calls))]
 
     @pytest.mark.parametrize("m", [512, 1024])
     def test_noise_finite_with_underflowing_weights(self, m):
