@@ -200,8 +200,8 @@ class RunConfig:
         return int(self.tree.get("seed", 0))
 
     @property
-    def threads(self) -> int:
-        return int(self.tree.get("threads", 1))
+    def threads(self) -> int | None:
+        return self.tree.get("threads")
 
 
 def validate_config(tree: dict) -> RunConfig:

@@ -517,14 +517,17 @@ class FreeConvolutionState:
         """Real image H(x + i y(x)) of points transported along the flow; a
         scalar or an array like x."""
         xs = np.asarray(x, dtype=float).ravel()
-        ys, g = self._graph_points(xs)
+        return _shaped(x, self._real_image(xs, *self._graph_points(xs)))
+
+    def _real_image(self, xs, ys, g):
+        """x + t Re G at graph points, checked to lie on the real axis."""
         im = np.where(ys > 0.0, ys + self.t * g.imag, 0.0)
         if np.any(np.abs(im) > 1e-7 * max(1.0, self.sqrt_t)):
             raise NonConvergence(
                 "graph point failed to map to the real axis: "
                 f"Im = {im[np.argmax(np.abs(im))]:.3e}"
             )
-        return _shaped(x, xs + self.t * g.real)
+        return xs + self.t * g.real
 
     # ------------------------------------------------------------ profiles
 
@@ -798,13 +801,7 @@ class Window:
 
 def make_window(mu, t, x_star, u_grid=None):
     """Bulk window: requires positive local density of the evolved measure."""
-    state = FreeConvolutionState(mu, t)
-    y_star = state.y(float(x_star))
-    if y_star <= 0.0:
-        raise OutsideDomain(
-            "y_t(x*) = 0: no local density at x*; use gap_window for gap frames"
-        )
-    return _window(state, x_star, y_star / (math.pi * state.t), None, u_grid)
+    return _window(FreeConvolutionState(mu, t), x_star, None, u_grid)
 
 
 def gap_window(config, t, x_star, epsilon, u_grid=None):
@@ -812,21 +809,28 @@ def gap_window(config, t, x_star, epsilon, u_grid=None):
     epsilon = float(epsilon)
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    state = FreeConvolutionState(config, t)
-    if state.y(float(x_star)) > 0.0:
+    return _window(FreeConvolutionState(config, t), x_star, epsilon, u_grid)
+
+
+def _window(state, x_star, epsilon, u_grid):
+    """A bulk window when epsilon is None, else a gap window; one graph point
+    gives the height at x*, c_t and x*_t."""
+    xs = np.array([float(x_star)])
+    ys, g = state._graph_points(xs)
+    y_star = float(ys[0])
+    if epsilon is None and y_star <= 0.0:
+        raise OutsideDomain(
+            "y_t(x*) = 0: no local density at x*; use gap_window for gap frames"
+        )
+    if epsilon is not None and y_star > 0.0:
         raise OutsideDomain(
             "x* carries local density at time t; use make_window for bulk frames"
         )
-    return _window(state, x_star, None, epsilon, u_grid)
-
-
-def _window(state, x_star, c_t, epsilon, u_grid):
-    x_star = float(x_star)
     return Window(
-        x_star=x_star,
+        x_star=float(xs[0]),
         t=state.t,
-        x_star_t=state.forward(x_star),
-        c_t=c_t,
+        x_star_t=float(state._real_image(xs, ys, g)[0]),
+        c_t=None if epsilon is not None else y_star / (math.pi * state.t),
         epsilon=epsilon,
         u_grid=tuple(u_grid) if u_grid is not None else DEFAULT_U_GRID,
     )

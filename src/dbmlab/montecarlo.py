@@ -9,6 +9,7 @@ depend on worker count or evaluation order.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,24 +30,36 @@ class GueSampler:
             raise ConfigError(f"dimension must be positive, got {n}")
         self.n = int(n)
         self.seed = int(seed)
+        self.upper = np.triu_indices(self.n, 1)
+        self.diag = np.diag_indices(self.n)
 
     def _generator(self, counter: int) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed, counter=counter))
 
     def matrix(self, sample_index: int, _sub: int = 0) -> np.ndarray:
-        # fixed draw order: diagonal, upper-triangle real, upper-triangle imag
+        # fixed draw order: diagonal, upper-triangle real, upper-triangle imag,
+        # taken in one call from the same stream
         n = self.n
-        gen = self._generator((int(sample_index) << 64) | (int(_sub) << 32))
-        diag = gen.standard_normal(n)
         k = n * (n - 1) // 2
-        re = gen.standard_normal(k)
-        im = gen.standard_normal(k)
+        gen = self._generator((int(sample_index) << 64) | (int(_sub) << 32))
+        z = gen.standard_normal(n + 2 * k)
         h = np.zeros((n, n), dtype=complex)
-        iu = np.triu_indices(n, 1)
-        h[iu] = (re + 1j * im) / np.sqrt(2.0 * n)
+        h[self.upper] = (z[n : n + k] + 1j * z[n + k :]) / np.sqrt(2.0 * n)
         h += h.conj().T
-        h[np.diag_indices(n)] = diag / np.sqrt(n)
+        h[self.diag] = z[:n] / np.sqrt(n)
         return h
+
+
+def default_threads() -> int:
+    """Sampling threads: the usable CPUs when BLAS is pinned to one thread,
+    else 1, since a threaded BLAS already spreads each eigensolve over the
+    cores and more sampling threads would oversubscribe them."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if blas != "1":
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -56,9 +69,9 @@ class EigenSolveReport:
     orthogonality_defect: float
 
 
-def eigenvalues(y: np.ndarray) -> EigenSolveReport:
-    """Full spectrum of a Hermitian matrix with certified residuals."""
-    y = np.asarray(y)
+def _certified(y: np.ndarray):
+    """``eigh`` of a Hermitian matrix with its residual certified: the
+    eigenvalues, the eigenvectors and the largest residual column norm."""
     scale = float(np.linalg.norm(y))
     herm = float(np.max(np.abs(y - y.conj().T)))
     if herm > _HERMITICITY_TOL * max(1.0, scale):
@@ -70,41 +83,69 @@ def eigenvalues(y: np.ndarray) -> EigenSolveReport:
             f"eigensolver residual {residual:.3e} exceeds "
             f"{_RESIDUAL_TOL:g} * ||Y|| = {_RESIDUAL_TOL * scale:.3e}"
         )
+    return vals, vecs, residual
+
+
+def eigenvalues(y: np.ndarray) -> EigenSolveReport:
+    """Full spectrum of a Hermitian matrix with certified residuals."""
+    y = np.asarray(y)
+    vals, vecs, residual = _certified(y)
     defect = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(y.shape[0]))))
     return EigenSolveReport(
         eigenvalues=vals, max_residual=residual, orthogonality_defect=defect
     )
 
 
-def sample_perturbed(config, t: float, sample_index: int, seed: int = 0) -> np.ndarray:
-    """Sorted eigenvalues of M + sqrt(t) H for one sample index."""
-    pts = _extract_points(config)
+def _time(t) -> float:
     t = float(t)
     if t < 0.0:
         raise ConfigError(f"time must be nonnegative, got {t}")
+    return t
+
+
+def _spectrum(pts: np.ndarray, sampler: GueSampler, t: float, sample_index: int) -> np.ndarray:
+    """Certified sorted eigenvalues of M + sqrt(t) H, M = diag(pts)."""
     if t == 0.0:
         return np.sort(pts)
-    h = GueSampler(pts.size, seed).matrix(sample_index)
-    y = np.diag(pts).astype(complex) + np.sqrt(t) * h
-    return eigenvalues(y).eigenvalues
+    y = np.sqrt(t) * sampler.matrix(sample_index)
+    y[sampler.diag] += pts
+    return _certified(y)[0]
+
+
+def sample_perturbed(config, t: float, sample_index: int, seed: int = 0) -> np.ndarray:
+    """Sorted eigenvalues of M + sqrt(t) H for one sample index."""
+    pts = _extract_points(config)
+    return _spectrum(pts, GueSampler(pts.size, seed), _time(t), sample_index)
 
 
 def sample_spectra(
-    config, t: float, n_samples: int, seed: int = 0, threads: int = 1
+    config, t: float, n_samples: int, seed: int = 0, threads: int | None = None
 ) -> np.ndarray:
-    """Stack of sorted spectra, rows keyed by sample index."""
+    """Stack of sorted spectra, rows keyed by sample index.
+
+    ``threads`` defaults to :func:`default_threads`; the rows do not depend
+    on it.
+    """
+    threads = default_threads() if threads is None else int(threads)
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     pts = _extract_points(config)
-    out = np.empty((int(n_samples), pts.size))
+    t = _time(t)
+    sampler = GueSampler(pts.size, seed)
+    n_samples = int(n_samples)
+    out = np.empty((n_samples, pts.size))
 
-    def work(k: int) -> None:
-        out[k] = sample_perturbed(config, t, k, seed)
+    def work(first: int) -> None:
+        for k in range(first, n_samples, threads):
+            out[k] = _spectrum(pts, sampler, t, k)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(work, range(int(n_samples))))
-    else:
-        for k in range(int(n_samples)):
-            work(k)
+    # the calling thread takes a share: a thread that has run eigensolves
+    # leaves its malloc arena and BLAS buffer resident after it exits
+    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
+        rest = [pool.submit(work, w) for w in range(1, threads)]
+        work(0)
+        for f in rest:
+            f.result()
     return out
 
 
@@ -127,8 +168,8 @@ def dbm_paths(config, time_grid, sample_index: int, seed: int = 0) -> np.ndarray
     for j, tj in enumerate(grid):
         dt = tj - prev
         if dt > 0.0:
-            y = y + np.sqrt(dt) * sampler.matrix(sample_index, _sub=j + 1)
-        rows[j] = eigenvalues(y).eigenvalues
+            y += np.sqrt(dt) * sampler.matrix(sample_index, _sub=j + 1)
+        rows[j] = _certified(y)[0]
         prev = tj
     return rows
 

@@ -290,6 +290,17 @@ class TestGapCommand:
         assert blob["fredholm"]["probability"] > 0.9
         assert mc["frequency"] > 0.9
 
+    def test_outputs_do_not_depend_on_threads(self, tmp_path):
+        conf = write_conf(
+            tmp_path, GAP_CONF.replace("n = 10", "n = 20") + "samples = 50\nseed = 4\n"
+        )
+        blobs = []
+        for flag in (["--threads", "1"], ["--threads", "2"], []):
+            out = tmp_path / f"run{len(blobs)}"
+            assert cli.main(["gap", "--config", str(conf), "--out", str(out), *flag]) == 0
+            blobs.append([(out / name).read_bytes() for name in ("gap.json", "summary.csv")])
+        assert blobs[0] == blobs[1] == blobs[2]
+
     def test_gap_requires_epsilon(self, tmp_path):
         conf = write_conf(
             tmp_path,
@@ -349,12 +360,14 @@ class TestExitCodes:
         [
             ("gap", GAP_CONF + "samples = 0\n"),
             ("gap", GAP_CONF + "samples = -3\n"),
+            ("gap", GAP_CONF + "threads = 0\n"),
+            ("gap", GAP_CONF + "threads = -3\n"),
             ("density", "measure {\n kind = uniform\n a = 1\n b = -1\n}\nt = 0.5\n"),
             ("kernel", KERNEL_CONF.replace("n = 4", "n = 0")),
             ("density", "measure {\n kind = power\n exponent = -1\n}\nt = 0.5\n"),
         ],
-        ids=["samples-zero", "samples-negative", "uniform-reversed", "quantiles-n-zero",
-             "power-negative-exponent"],
+        ids=["samples-zero", "samples-negative", "threads-zero", "threads-negative",
+             "uniform-reversed", "quantiles-n-zero", "power-negative-exponent"],
     )
     def test_invalid_value_exits_2(self, tmp_path, command, text):
         conf = write_conf(tmp_path, text)

@@ -614,7 +614,8 @@ def test_one_panel_rule_per_graph_point(monkeypatch):
 
 
 def test_forward_reads_one_rule_per_point(monkeypatch):
-    # forward takes y and G from one graph evaluation, on scalars or arrays
+    # forward takes y and G from one graph evaluation, on scalars or arrays,
+    # and a window takes y, c_t and x*_t from one
     mu = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
     state = FreeConvolutionState(mu, 0.2285)
     xs = np.array([-2.5, -0.9, -0.2, 0.0, 0.35, 1.05])
@@ -630,4 +631,7 @@ def test_forward_reads_one_rule_per_point(monkeypatch):
     assert np.all(np.abs(got - singles) <= 1e-15 * np.maximum(1.0, np.abs(got)))
     calls.clear()
     make_window(mu, 0.2285, 0.3)
-    assert len(calls) <= 2
+    assert len(calls) == 1
+    calls.clear()
+    gap_window(mu, 0.2285, 2.5, 0.1)
+    assert len(calls) == 1

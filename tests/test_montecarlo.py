@@ -7,6 +7,10 @@ determinantal one- and two-point identities at n=2 where the exact
 kernel route is independent of the sampler.
 """
 
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from dbmlab.measures import InitialConfiguration, MeasureSpec, kolmogorov_distan
 from dbmlab.montecarlo import (
     GueSampler,
     dbm_paths,
+    default_threads,
     eigenvalues,
     empirical_density,
     empirical_gap_frequency,
@@ -116,9 +121,50 @@ class TestSampleSpectra:
     def test_shape_and_determinism_across_threads(self):
         cfg = InitialConfiguration.equispaced(-1.0, 1.0, 6)
         a = sample_spectra(cfg, 0.3, 40, seed=1, threads=1)
-        b = sample_spectra(cfg, 0.3, 40, seed=1, threads=4)
         assert a.shape == (40, 6)
-        assert np.array_equal(a, b)
+        for threads in (None, 2, 4):
+            b = sample_spectra(cfg, 0.3, 40, seed=1, threads=threads)
+            assert a.tobytes() == b.tobytes()
+
+    def test_paths_determinism_across_threads(self):
+        cfg = InitialConfiguration.equispaced(-1.0, 1.0, 6)
+        grid = [0.0, 0.1, 0.3]
+        serial = [dbm_paths(cfg, grid, k, seed=1) for k in range(8)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = list(pool.map(lambda k: dbm_paths(cfg, grid, k, seed=1), range(8)))
+        for a, b in zip(serial, pooled):
+            assert a.tobytes() == b.tobytes()
+
+    def test_default_threads_follows_blas_pinning(self, monkeypatch):
+        # sampling threads only pay off when each eigensolve runs on one BLAS thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert default_threads() == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert default_threads() == 3
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert default_threads() == 1
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert default_threads() == 3
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_certificate_checks_every_sample_at_threads(self, monkeypatch, threads):
+        # one eigenvalue moved by 1e-6 in one sample must fail its residual check
+        cfg = InitialConfiguration.equispaced(-1.0, 1.0, 6)
+        eigh = np.linalg.eigh
+        calls = itertools.count()
+
+        def off_by_one_sample(y):
+            vals, vecs = eigh(y)
+            if next(calls) == 17:
+                vals[2] += 1e-6
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", off_by_one_sample)
+        with pytest.raises(NonConvergence):
+            sample_spectra(cfg, 0.3, 40, seed=1, threads=threads)
 
 
 class TestPaths:
