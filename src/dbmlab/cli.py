@@ -216,6 +216,9 @@ def validate_config(tree: dict) -> RunConfig:
                     raise ConfigError(f"unknown key '{sub}' in block '{key}'")
     if "t" in tree and "t_grid" in tree:
         raise ConfigError("give either 't' or 't_grid', not both")
+    for key in ("samples", "threads"):
+        if key in tree and tree[key] < 1:
+            raise ConfigError(f"'{key}' must be >= 1, got {tree[key]}")
     return RunConfig(tree=tree)
 
 
@@ -428,8 +431,6 @@ def cmd_gap(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("gap command needs window.epsilon")
     eps = float(blk["epsilon"])
     n_samples = int(cfg.get("samples", 2000))
-    if n_samples < 1:
-        raise ConfigError(f"gap needs samples >= 1, got {n_samples}")
     frame = build_frame(cfg, conf=conf)
     center = frame.window.x_star_t
     interval = (center - eps, center + eps)

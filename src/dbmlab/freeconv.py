@@ -34,6 +34,7 @@ from .errors import (
     PrincipalValueRequired,
 )
 from .measures import EmpiricalMeasure, InitialConfiguration, MeasureSpec
+from .measures import _illinois, _shaped
 from .panels import graded_edges, panel_nodes
 
 __all__ = [
@@ -72,12 +73,8 @@ def _as_measure(obj):
 
 
 def _atoms(mu):
-    """Atom locations for empirical-like inputs, else None."""
-    if isinstance(mu, EmpiricalMeasure):
-        return mu.points
-    if isinstance(mu, InitialConfiguration):
-        return mu.points
-    return None
+    """Atom locations of an empirical measure, else None."""
+    return mu.points if isinstance(mu, EmpiricalMeasure) else None
 
 
 def _interval_distance(x, a, b):
@@ -426,8 +423,7 @@ def _row_lorentz_sums(nodes, weights, xs, big_y):
 # block's arrays stay near 1 MB
 _RULE_BLOCK = 32
 _NEWTON_CAP = 64
-# the inverse map stops like scipy's Brent solver: a bracket narrower
-# than _XTOL + _RTOL |x| has settled
+# an inverse-map bracket narrower than _XTOL + _RTOL |x| has settled
 _XTOL, _RTOL = 1e-10, 8.9e-16
 _INVERSE_CAP = 100
 # Newton's start height, in units of sqrt(t); heights below it count as 0
@@ -682,56 +678,19 @@ class FreeConvolutionState:
         return a, b, fa, fb
 
     def _solve(self, xi):
-        """x with H(x + i y(x)) = xi, flattened, by safeguarded Illinois steps.
-
-        Each step evaluates H at all open brackets at once.  A bracket
-        settles when narrower than _XTOL + _RTOL |x|; new points stay
-        half that far inside, so a root that close to an end is straddled.
-        """
+        """x with H(x + i y(x)) = xi, flattened, by safeguarded Illinois steps."""
         xi = np.asarray(xi, dtype=float).ravel()
         if not np.all(np.isfinite(xi)):
             raise ValueError("xi must be finite")
-        a, b, fa, fb = self._bracket(xi)
-        wa, wb = fa.copy(), fb.copy()
-        # +1 where the last step moved b, -1 where it moved a
-        last = np.zeros(xi.size, dtype=np.int8)
-        act = np.nonzero((fa < 0.0) & (fb > 0.0))[0]
-        for _ in range(_INVERSE_CAP):
-            tol = _XTOL + _RTOL * np.maximum(np.abs(a[act]), np.abs(b[act]))
-            wide = b[act] - a[act] >= tol
-            act, tol = act[wide], tol[wide]
-            if act.size == 0:
-                # the secant root of the settled bracket
-                span = np.where(fb > fa, fb - fa, 1.0)
-                return a - fa * (b - a) / span
-            aa, bb = a[act], b[act]
-            c = bb - wb[act] * (bb - aa) / (wb[act] - wa[act])
-            c = np.clip(c, aa + 0.5 * tol, bb - 0.5 * tol)
-            fc = self._h_graph(c) - xi[act]
-            hi, lo = fc >= 0.0, fc <= 0.0
-            # Illinois: an end kept a second time in a row has its weight halved
-            wa[act[hi & (last[act] > 0)]] *= 0.5
-            wb[act[lo & (last[act] < 0)]] *= 0.5
-            up, dn = act[hi], act[lo]
-            b[up], fb[up], wb[up] = c[hi], fc[hi], fc[hi]
-            a[dn], fa[dn], wa[dn] = c[lo], fc[lo], fc[lo]
-            last[act] = np.sign(fc)
-            act = act[fc != 0.0]
-        raise NonConvergence(
-            f"inverse map: {act.size} brackets still open after {_INVERSE_CAP} steps"
+        return _illinois(
+            lambda x, idx: self._h_graph(x) - xi[idx],
+            *self._bracket(xi), _XTOL, _RTOL, _INVERSE_CAP, "inverse map"
         )
 
     def psi(self, xi):
         """Density of mu evolved to time t at xi; a scalar or an array like xi."""
         ys, g = self._graph_points(self._solve(xi))
         return _shaped(xi, np.where(ys > 0.0, np.maximum(-g.imag / math.pi, 0.0), 0.0))
-
-
-def _shaped(like, values):
-    """A Python scalar for a scalar ``like``, else ``values`` in its shape."""
-    if np.ndim(like) == 0:
-        return values[0].item()
-    return values.reshape(np.shape(like))
 
 
 @dataclass(frozen=True)

@@ -362,7 +362,8 @@ class RescaledKernelFrame:
         self.t = float(t)
         if not self.t > 0.0:
             raise ConfigError("t must be positive")
-        self.points, self.eps_split_applied = _split_duplicates(_extract_points(config))
+        # phi sums logs of |q - a|, so repeated points need no split
+        self.points = np.sort(_extract_points(config))
         self.n = int(self.points.size)
         self.window = window
         self.state = FreeConvolutionState(EmpiricalMeasure(self.points), self.t)
@@ -668,5 +669,4 @@ def frame_to_json(frame: RescaledKernelFrame) -> dict:
         "c_t": w.c_t,
         "x0": frame.x0,
         "quadrature_M": int(frame.quadrature_m),
-        "eps_split_applied": float(frame.eps_split_applied),
     }

@@ -19,17 +19,56 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import ConfigError
+from .errors import ConfigError, NonConvergence
 from .panels import graded_edges, panel_nodes
 
 MASS_TOL = 1e-10
 _LEVEL_TOL = 1e-12
 
 
-def _as_scalar(x, was_scalar):
-    return float(x) if was_scalar else x
+def _shaped(like, values):
+    """A Python scalar for a scalar ``like``, else ``values`` in its shape."""
+    if np.ndim(like) == 0:
+        return values[0].item()
+    return values.reshape(np.shape(like))
+
+
+def _illinois(f, a, b, fa, fb, xtol, rtol, cap, name):
+    """Roots in brackets fa = f(a) <= 0 <= f(b) = fb by safeguarded Illinois steps.
+
+    ``f(x, idx)`` evaluates the brackets numbered ``idx``, all open ones in
+    one call per step.  A bracket settles when narrower than xtol + rtol |x|
+    and gives its secant root; new points stay half that far inside, so a
+    root that close to an end is straddled.  The brackets are narrowed in
+    place.  ``cap`` steps without settling raise NonConvergence naming ``name``.
+    """
+    xtol = np.broadcast_to(xtol, a.shape)
+    wa, wb = fa.copy(), fb.copy()
+    # +1 where the last step moved b, -1 where it moved a
+    last = np.zeros(a.size, dtype=np.int8)
+    act = np.nonzero((fa < 0.0) & (fb > 0.0))[0]
+    for _ in range(cap):
+        tol = xtol[act] + rtol * np.maximum(np.abs(a[act]), np.abs(b[act]))
+        wide = b[act] - a[act] >= tol
+        act, tol = act[wide], tol[wide]
+        if act.size == 0:
+            span = np.where(fb > fa, fb - fa, 1.0)
+            return a - fa * (b - a) / span
+        aa, bb = a[act], b[act]
+        c = bb - wb[act] * (bb - aa) / (wb[act] - wa[act])
+        c = np.clip(c, aa + 0.5 * tol, bb - 0.5 * tol)
+        fc = f(c, act)
+        hi, lo = fc >= 0.0, fc <= 0.0
+        # Illinois: an end kept a second time in a row has its weight halved
+        wa[act[hi & (last[act] > 0)]] *= 0.5
+        wb[act[lo & (last[act] < 0)]] *= 0.5
+        up, dn = act[hi], act[lo]
+        b[up], fb[up], wb[up] = c[hi], fc[hi], fc[hi]
+        a[dn], fa[dn], wa[dn] = c[lo], fc[lo], fc[lo]
+        last[act] = np.sign(fc)
+        act = act[fc != 0.0]
+    raise NonConvergence(f"{name}: {act.size} brackets still open after {cap} steps")
 
 
 @dataclass(frozen=True)
@@ -111,9 +150,7 @@ class MeasureSpec:
     # ------------------------------------------------------------ evaluation
 
     def density(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(x_arr)
         if self.kind == "semicircle":
             (v,) = self.params
@@ -135,12 +172,10 @@ class MeasureSpec:
                 mask = (x_arr >= a) & (x_arr <= b) & ~assigned
                 out[mask] = np.polynomial.polynomial.polyval(x_arr[mask], coeffs)
                 assigned |= mask
-        return _as_scalar(out if not scalar else out[0], scalar)
+        return _shaped(x, out)
 
     def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         if self.kind == "semicircle":
             (v,) = self.params
             edge = 2.0 * math.sqrt(v)
@@ -171,7 +206,7 @@ class MeasureSpec:
                 out += np.polynomial.polynomial.polyval(
                     xc, anti
                 ) - np.polynomial.polynomial.polyval(a, anti)
-        return _as_scalar(out if not scalar else out[0], scalar)
+        return _shaped(x, out)
 
     # ------------------------------------------------------------ structure
 
@@ -193,15 +228,13 @@ class MeasureSpec:
         return ()
 
     def mass_pieces(self):
-        """Positive-mass intervals with cumulative cdf values at their ends."""
-        pieces = []
-        acc = 0.0
-        for a, b in self.support:
-            m = float(self.cdf(b) - self.cdf(a))
-            if m > 0.0:
-                pieces.append((a, b, acc, acc + m))
-                acc += m
-        return pieces
+        """Ends a, b of the positive-mass intervals and the cumulative masses
+        at those ends, as four arrays."""
+        a, b = np.array(self.support).T
+        m = self.cdf(b) - self.cdf(a)
+        a, b, m = a[m > 0.0], b[m > 0.0], m[m > 0.0]
+        hi = np.cumsum(m)
+        return a, b, np.concatenate([[0.0], hi[:-1]]), hi
 
 
 def _signed_pow(u, p):
@@ -248,38 +281,31 @@ def quantiles(mu, n, return_flags=False):
     if n < 1:
         raise ValueError("need at least one quantile")
     levels = (np.arange(1, n + 1) - 0.5) / n
-    pieces = mu.mass_pieces()
-    c_hi = np.array([p[3] for p in pieces])
-    out = np.empty(n)
-    flags = np.zeros(n, dtype=bool)
-    for idx, p in enumerate(levels):
-        i = int(np.searchsorted(c_hi, p))
-        if i == len(pieces):
-            i -= 1
-        a, b, lo, hi = pieces[i]
-        if p <= lo + _LEVEL_TOL:
-            # junction with the previous mass piece
-            left = pieces[i - 1][1] if i > 0 else a
-            if a - left > 0.0:
-                out[idx] = 0.5 * (left + a)
-                flags[idx] = True
-            else:
-                out[idx] = a
-            continue
-        if p >= hi - _LEVEL_TOL:
-            if i + 1 < len(pieces) and pieces[i + 1][0] - b > 0.0:
-                out[idx] = 0.5 * (b + pieces[i + 1][0])
-                flags[idx] = True
-            else:
-                out[idx] = b
-            continue
-        scale = max(1.0, abs(a), abs(b))
-        q = brentq(
-            lambda x: mu.cdf(x) - p, a, b, xtol=2e-15 * scale, rtol=8.9e-16
-        )
-        out[idx] = q
-        if abs(mu.cdf(q) - p) > 1e-10:
-            raise RuntimeError("quantile solve missed its level tolerance")
+    xa, xb, c_lo, c_hi = mu.mass_pieces()
+    i = np.minimum(np.searchsorted(c_hi, levels), c_hi.size - 1)
+    a, b = xa[i], xb[i]
+    # the ends of the neighbouring mass pieces; a piece's own end at the hull
+    left = np.concatenate([xa[:1], xb[:-1]])[i]
+    right = np.concatenate([xa[1:], xb[-1:]])[i]
+    at_lo = levels <= c_lo[i] + _LEVEL_TOL
+    at_hi = ~at_lo & (levels >= c_hi[i] - _LEVEL_TOL)
+    # a level at a junction with a gap beside it takes the gap's midpoint
+    gap_lo = at_lo & (a - left > 0.0)
+    gap_hi = at_hi & (right - b > 0.0)
+    flags = gap_lo | gap_hi
+    out = np.where(at_lo, a, b)
+    out[gap_lo] = 0.5 * (left + a)[gap_lo]
+    out[gap_hi] = 0.5 * (b + right)[gap_hi]
+    mid = np.nonzero(~(at_lo | at_hi))[0]
+    a, b, p = a[mid], b[mid], levels[mid]
+    xtol = 2e-15 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    q = _illinois(
+        lambda x, k: mu.cdf(x) - p[k],
+        a, b, mu.cdf(a) - p, mu.cdf(b) - p, xtol, 8.9e-16, 100, "quantiles"
+    )
+    if np.any(np.abs(mu.cdf(q) - p) > 1e-10):
+        raise RuntimeError("quantile solve missed its level tolerance")
+    out[mid] = q
     if flags.any() and not return_flags:
         warnings.warn(
             "quantile level(s) fall on a flat stretch of the cdf; "
@@ -355,10 +381,8 @@ class EmpiricalMeasure:
         return int(self.points.size)
 
     def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        out = np.searchsorted(self.points, np.atleast_1d(x_arr), side="right") / self.n
-        return _as_scalar(out if not scalar else out[0], scalar)
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        return _shaped(x, np.searchsorted(self.points, x_arr, side="right") / self.n)
 
     def hull(self):
         return float(self.points[0]), float(self.points[-1])

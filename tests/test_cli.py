@@ -195,7 +195,6 @@ class TestKernelCommand:
             "c_t",
             "x0",
             "quadrature_M",
-            "eps_split_applied",
         }
         assert blob["n"] == 4
 
@@ -362,17 +361,28 @@ class TestExitCodes:
             ("gap", GAP_CONF + "samples = -3\n"),
             ("gap", GAP_CONF + "threads = 0\n"),
             ("gap", GAP_CONF + "threads = -3\n"),
+            ("kernel", KERNEL_CONF + "threads = 0\n"),
+            ("density", "measure {\n kind = uniform\n}\nt = 0.5\nsamples = 0\n"),
             ("density", "measure {\n kind = uniform\n a = 1\n b = -1\n}\nt = 0.5\n"),
             ("kernel", KERNEL_CONF.replace("n = 4", "n = 0")),
             ("density", "measure {\n kind = power\n exponent = -1\n}\nt = 0.5\n"),
         ],
         ids=["samples-zero", "samples-negative", "threads-zero", "threads-negative",
+             "kernel-threads-zero", "density-samples-zero",
              "uniform-reversed", "quantiles-n-zero", "power-negative-exponent"],
     )
     def test_invalid_value_exits_2(self, tmp_path, command, text):
         conf = write_conf(tmp_path, text)
         rc = cli.main([command, "--config", str(conf), "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_threads_flag_zero_exits_2(self, tmp_path):
+        conf = write_conf(tmp_path, KERNEL_CONF)
+        out = tmp_path / "o"
+        rc = cli.main(["kernel", "--config", str(conf), "--out", str(out), "--threads", "0"])
+        assert rc == 2
+        assert not out.exists()
 
     def test_nonconvergence_exits_3(self, tmp_path):
         conf = write_conf(

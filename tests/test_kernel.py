@@ -427,13 +427,31 @@ class TestRescaledFrame:
             "c_t",
             "x0",
             "quadrature_M",
-            "eps_split_applied",
         }
         assert blob["n"] == 1
         assert blob["t"] == 1.0
         assert blob["x_star_t"] == pytest.approx(0.0, abs=1e-12)
         assert blob["c_t"] == pytest.approx(1.0 / math.pi, rel=1e-9)
-        assert blob["eps_split_applied"] == 0.0
+
+    def test_repeated_points_match_hand_split(self):
+        # the contour route sums log|q - a|, so a repeated point needs no
+        # split; a symmetric split moves the frame only at second order
+        mu = MeasureSpec.uniform(-1.0, 1.0)
+        pts = InitialConfiguration.from_quantiles(mu, 50).points.copy()
+        pts[11] = pts[10]
+        pts[31] = pts[32] = pts[30]
+        eps = 1e-9 * (pts[-1] - pts[0])
+        split = pts.copy()
+        split[10:12] += np.array([-0.5, 0.5]) * eps
+        split[30:33] += np.array([-1.0, 0.0, 1.0]) * eps
+        t = 0.5
+        window = make_window(InitialConfiguration.explicit(pts).empirical(), t, 0.0)
+        repeated = RescaledKernelFrame(pts, t, window)
+        np.testing.assert_array_equal(repeated.points, pts)
+        grid = np.linspace(-2.0, 2.0, 9)
+        got = repeated.values(grid, grid)
+        ref = RescaledKernelFrame(split, t, window).values(grid, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_quadrature_m_counts_nodes_of_accepted_rows(self):
         cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), 12)

@@ -1,10 +1,14 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dbmlab
 from dbmlab.measures import (
     EmpiricalMeasure,
     InitialConfiguration,
@@ -112,6 +116,53 @@ def test_power_quantiles_closed_form():
     mu = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
     q = quantiles(mu, 2)
     assert np.allclose(q, [-(2.0 ** (-2.0 / 3.0)), 2.0 ** (-2.0 / 3.0)], atol=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.0])
+@pytest.mark.parametrize("n", [50, 200, 1000])
+def test_power_quantiles_match_inverse_cdf(kappa, n):
+    # CDF = (1 + sgn(x)|x|^{kappa+1})/2 on [-1, 1]; the bound is the solver's
+    # stop rule on the bracket [-1, 1]
+    mu = MeasureSpec.power(kappa, 0.0, (-1.0, 1.0))
+    q = quantiles(mu, n)
+    s = 2.0 * (np.arange(1, n + 1) - 0.5) / n - 1.0
+    exact = np.sign(s) * np.abs(s) ** (1.0 / (kappa + 1.0))
+    assert np.all(np.abs(q - exact) <= 2e-15 + 8.9e-16 * np.abs(q))
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        MeasureSpec.uniform(-1.0, 1.0),
+        MeasureSpec.semicircle(1.0),
+        MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)),
+        MeasureSpec.piecewise([((-2.0, -1.0), (0.5,)), ((1.0, 2.0), (0.5,))]),
+    ],
+    ids=["uniform", "semicircle", "power-half", "two-blob"],
+)
+def test_quantiles_solve_all_levels_together(mu, monkeypatch):
+    calls = []
+    cdf = MeasureSpec.cdf
+
+    def counted(self, x):
+        calls.append(x)
+        return cdf(self, x)
+
+    monkeypatch.setattr(MeasureSpec, "cdf", counted)
+    quantiles(mu, 200)
+    assert len(calls) <= 32
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = str(Path(dbmlab.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import dbmlab; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_quantile_levels_hit_cdf():
@@ -241,6 +292,16 @@ def test_empirical_measure_sorted_and_cdf():
     assert emp.cdf(0.0) == pytest.approx(0.5)
     assert emp.cdf(-1.0) == 0.0
     assert emp.cdf(1.0) == 1.0
+
+
+def test_scalar_in_float_out_array_keeps_shape():
+    mu = MeasureSpec.semicircle(1.0)
+    emp = EmpiricalMeasure(np.array([0.5, -0.5]))
+    grid = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    for f in (mu.density, mu.cdf, emp.cdf):
+        assert type(f(0.25)) is float
+        assert f(grid).shape == (2, 3)
+        assert f(grid)[1, 2] == f(1.0)
 
 
 # ---------------------------------------------------------------- serialization
