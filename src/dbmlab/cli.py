@@ -1,8 +1,8 @@
 """Config-driven command surface: density | kernel | sweep | gap | paths.
 
-Runs are described by a single key/value config file with nested blocks;
-a canonical JSON mirror of the validated config is written next to each
-run's outputs.  Data artifacts print floats at 17 significant digits and
+Runs are described by a single key/value config file with nested blocks.
+Its parsed tree is the one description of a run: the commands read it, and
+its JSON mirror ``config.json`` is written next to each run's outputs.  Data artifacts print floats at 17 significant digits and
 are bit-identical across reruns of the same config and seed; wall-clock
 timing goes to stderr only, so it never perturbs the artifacts.
 """
@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +56,9 @@ _MEASURE_KEYS = {
     "center": float,
 }
 _WINDOW_KEYS = {"x_star": float, "extent": float, "step": float, "epsilon": float}
-_QUAD_KEYS = {
-    "dc_tol": float,
-    "max_levels": int,
-    "fredholm_m0": int,
-}
 _SCHEMA = {
     "measure": _MEASURE_KEYS,
     "window": _WINDOW_KEYS,
-    "quadrature": _QUAD_KEYS,
     "n": int,
     "generator": str,
     "points": (float,),
@@ -145,29 +138,6 @@ def parse_config_text(text: str) -> dict:
     return tree
 
 
-def _render_value(val) -> str:
-    if isinstance(val, list):
-        return ", ".join(_render_value(v) for v in val)
-    if isinstance(val, bool):
-        raise ConfigError("boolean config values are not supported")
-    if isinstance(val, float):
-        return _FMT % val
-    return str(val)
-
-
-def serialize_config(tree: dict) -> str:
-    """Canonical text form: sorted keys, blocks last, floats at 17 digits."""
-    plain = sorted(k for k, v in tree.items() if not isinstance(v, dict))
-    blocks = sorted(k for k, v in tree.items() if isinstance(v, dict))
-    lines = [f"{k} = {_render_value(tree[k])}" for k in plain]
-    for name in blocks:
-        lines.append(name + " {")
-        for k in sorted(tree[name]):
-            lines.append(f"  {k} = {_render_value(tree[name][k])}")
-        lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path) -> dict:
     p = Path(path)
     if not p.is_file():
@@ -175,51 +145,22 @@ def load_config(path) -> dict:
     return parse_config_text(p.read_text())
 
 
-# -- typed view --------------------------------------------------------------
+# -- building from the tree ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run description; `tree` is the canonical nested dict."""
-
-    tree: dict
-
-    def get(self, key, default=None):
-        return self.tree.get(key, default)
-
-    def block(self, name) -> dict:
-        return self.tree.get(name, {})
-
-    def require(self, key):
-        if key not in self.tree:
-            raise ConfigError(f"config key '{key}' is required for this command")
-        return self.tree[key]
-
-    @property
-    def seed(self) -> int:
-        return int(self.tree.get("seed", 0))
-
-    @property
-    def threads(self) -> int | None:
-        return self.tree.get("threads")
+def _require(tree: dict, key):
+    if key not in tree:
+        raise ConfigError(f"config key '{key}' is required for this command")
+    return tree[key]
 
 
-def validate_config(tree: dict) -> RunConfig:
-    for key, val in tree.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown key '{key}' at top level")
-        if isinstance(_SCHEMA[key], dict) != isinstance(val, dict):
-            raise ConfigError(f"key '{key}' has the wrong shape")
-        if isinstance(val, dict):
-            for sub in val:
-                if sub not in _SCHEMA[key]:
-                    raise ConfigError(f"unknown key '{sub}' in block '{key}'")
+def validate_config(tree: dict) -> None:
+    """Value checks the schema cannot express, made before any work."""
     if "t" in tree and "t_grid" in tree:
         raise ConfigError("give either 't' or 't_grid', not both")
     for key in ("samples", "threads"):
         if key in tree and tree[key] < 1:
             raise ConfigError(f"'{key}' must be >= 1, got {tree[key]}")
-    return RunConfig(tree=tree)
 
 
 def _construct(make, *args):
@@ -230,8 +171,8 @@ def _construct(make, *args):
         raise ConfigError(f"invalid config value: {exc}") from exc
 
 
-def build_measure(cfg: RunConfig) -> MeasureSpec:
-    blk = dict(cfg.block("measure"))
+def build_measure(tree: dict) -> MeasureSpec:
+    blk = dict(tree.get("measure", {}))
     if not blk:
         raise ConfigError("config block 'measure' is required for this command")
     kind = blk.pop("kind", None)
@@ -255,30 +196,30 @@ def build_measure(cfg: RunConfig) -> MeasureSpec:
     return mu
 
 
-def build_configuration(cfg: RunConfig) -> InitialConfiguration:
-    gen = cfg.require("generator")
+def build_configuration(tree: dict) -> InitialConfiguration:
+    gen = _require(tree, "generator")
     if gen == "explicit":
-        pts = cfg.require("points")
+        pts = _require(tree, "points")
         if not pts:
             raise ConfigError("explicit generator needs a nonempty 'points' list")
         return _construct(InitialConfiguration.explicit, pts)
-    n = int(cfg.require("n"))
+    n = int(_require(tree, "n"))
     if gen == "quantiles":
-        return _construct(InitialConfiguration.from_quantiles, build_measure(cfg), n)
+        return _construct(InitialConfiguration.from_quantiles, build_measure(tree), n)
     if gen in ("equispaced", "equispaced_gap"):
-        a, b = build_measure(cfg).hull()
+        a, b = build_measure(tree).hull()
         conf = _construct(InitialConfiguration.equispaced, a, b, n)
         if gen == "equispaced_gap":
-            if "gap_half_width" not in cfg.tree:
+            if "gap_half_width" not in tree:
                 raise ConfigError("equispaced_gap needs 'gap_half_width'")
-            center = float(cfg.get("gap_center", 0.0))
-            conf = _construct(conf.with_gap, center, float(cfg.require("gap_half_width")))
+            center = float(tree.get("gap_center", 0.0))
+            conf = _construct(conf.with_gap, center, float(tree["gap_half_width"]))
         return conf
     raise ConfigError(f"unknown generator {gen!r}")
 
 
-def _u_grid(cfg: RunConfig) -> np.ndarray:
-    blk = cfg.block("window")
+def _u_grid(tree: dict) -> np.ndarray:
+    blk = tree.get("window", {})
     extent = float(blk.get("extent", 2.0))
     step = float(blk.get("step", 0.25))
     if extent <= 0.0 or step <= 0.0:
@@ -287,31 +228,20 @@ def _u_grid(cfg: RunConfig) -> np.ndarray:
     return np.arange(-k, k + 1) * step
 
 
-def build_frame(cfg: RunConfig, conf=None) -> RescaledKernelFrame:
-    conf = build_configuration(cfg) if conf is None else conf
-    t = float(cfg.require("t"))
-    blk = cfg.block("window")
+def build_frame(tree: dict, conf=None) -> RescaledKernelFrame:
+    conf = build_configuration(tree) if conf is None else conf
+    t = float(_require(tree, "t"))
+    blk = tree.get("window", {})
     x_star = float(blk.get("x_star", 0.0))
-    grid = _u_grid(cfg)
+    grid = _u_grid(tree)
     if "epsilon" in blk:
         window = gap_window(conf, t, x_star, float(blk["epsilon"]), u_grid=grid)
     else:
         window = make_window(conf.empirical(), t, x_star, u_grid=grid)
-    quad = cfg.block("quadrature")
-    return RescaledKernelFrame(
-        conf,
-        t,
-        window,
-        dc_tol=float(quad.get("dc_tol", 1e-7)),
-        max_levels=int(quad.get("max_levels", 8)),
-    )
+    return RescaledKernelFrame(conf, t, window)
 
 
 # -- artifact helpers --------------------------------------------------------
-
-
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
 
 
 def _summary_csv(rows) -> str:
@@ -321,9 +251,9 @@ def _summary_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_config(cfg: RunConfig, out: Path) -> None:
+def _emit_config(tree: dict, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    _write(out / "config.json", json.dumps(cfg.tree, sort_keys=True, indent=2) + "\n")
+    (out / "config.json").write_text(json.dumps(tree, sort_keys=True, indent=2) + "\n")
 
 
 def _frame_gap_kernel(frame: RescaledKernelFrame):
@@ -336,29 +266,29 @@ def _frame_gap_kernel(frame: RescaledKernelFrame):
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_density(cfg: RunConfig, out: Path) -> int:
-    mu = build_measure(cfg)
-    t = float(cfg.require("t"))
+def cmd_density(tree: dict, out: Path) -> int:
+    mu = build_measure(tree)
+    t = float(_require(tree, "t"))
     if t <= 0.0:
         raise ConfigError(f"density command needs t > 0, got {t}")
-    x_star = float(cfg.block("window").get("x_star", 0.0))
+    x_star = float(tree.get("window", {}).get("x_star", 0.0))
     state = FreeConvolutionState(mu, t)
     a, b = mu.hull()
     pad = 2.0 * math.sqrt(t)
     xs = np.linspace(a - pad, b + pad, 201)
     psi = psi_t(state, xs)
     lines = ["x,psi"] + [f"{_FMT % x},{_FMT % p}" for x, p in zip(xs, psi)]
-    _emit_config(cfg, out)
-    _write(out / "density.csv", "\n".join(lines) + "\n")
+    _emit_config(tree, out)
+    (out / "density.csv").write_text("\n".join(lines) + "\n")
     tcr = t_critical(mu, x_star)
     mass = float(np.trapezoid(psi, xs))
-    _write(out / "summary.csv", _summary_csv([("t_cr", tcr), ("mass", mass)]))
+    (out / "summary.csv").write_text(_summary_csv([("t_cr", tcr), ("mass", mass)]))
     print(f"density: t={t:g} t_cr={tcr:.6g} mass={mass:.6g} -> {out}")
     return 0
 
 
-def cmd_kernel(cfg: RunConfig, out: Path) -> int:
-    frame = build_frame(cfg)
+def cmd_kernel(tree: dict, out: Path) -> int:
+    frame = build_frame(tree)
     grid = np.asarray(frame.window.u_grid)
     vals = frame.values(grid, grid)
     lines = ["u,v,value"]
@@ -371,12 +301,12 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
         ("sup_abs_value", float(np.max(np.abs(vals)))),
         ("max_sine_amplitude", max(frame.sine_amplitude(u) for u in grid)),
     ]
-    _emit_config(cfg, out)
-    _write(out / "kernel.csv", "\n".join(lines) + "\n")
-    _write(
-        out / "frame.json", json.dumps(frame_to_json(frame), sort_keys=True, indent=2) + "\n"
+    _emit_config(tree, out)
+    (out / "kernel.csv").write_text("\n".join(lines) + "\n")
+    (out / "frame.json").write_text(
+        json.dumps(frame_to_json(frame), sort_keys=True, indent=2) + "\n"
     )
-    _write(out / "summary.csv", _summary_csv(rows))
+    (out / "summary.csv").write_text(_summary_csv(rows))
     print(
         f"kernel: n={frame.n} t={frame.t:g} sup|R-sine|={rows[0][1]:.4g} "
         f"sup|R|={rows[1][1]:.4g} A_max={rows[2][1]:.4g} -> {out}"
@@ -387,9 +317,9 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
 _SWEEP_GAP_INTERVAL = (-0.5, 0.5)
 
 
-def cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    ns = [int(v) for v in cfg.require("n_grid")]
-    ts = [float(v) for v in cfg.require("t_grid")]
+def cmd_sweep(tree: dict, out: Path) -> int:
+    ns = [int(v) for v in _require(tree, "n_grid")]
+    ts = [float(v) for v in _require(tree, "t_grid")]
     if not ns:
         raise ConfigError("sweep needs a nonempty 'n_grid'")
     if not ts:
@@ -400,16 +330,13 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         raise ConfigError(
             f"t_grid length {len(ts)} must be 1 or match n_grid length {len(ns)}"
         )
-    quad = cfg.block("quadrature")
-    m0 = int(quad.get("fredholm_m0", 8))
     rows = []
     for n, t in zip(ns, ts):
         t0 = time.perf_counter()
-        sub = RunConfig(tree={**cfg.tree, "n": n, "t": t})
-        frame = build_frame(sub)
+        frame = build_frame({**tree, "n": n, "t": t})
         dev = sup_sine_deviation(frame)
         prob = gap_probability(
-            GapProblem(_frame_gap_kernel(frame), _SWEEP_GAP_INTERVAL, m=m0)
+            GapProblem(_frame_gap_kernel(frame), _SWEEP_GAP_INTERVAL)
         ).probability
         secs = time.perf_counter() - t0
         rows.append((n, t, dev, prob, secs))
@@ -417,46 +344,42 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     lines = ["n,t,sup_sine_deviation,gap_probability,sup_rounded"]
     for n, t, dev, prob, _ in rows:
         lines.append(f"{n},{_FMT % t},{_FMT % dev},{_FMT % prob},{dev:.4g}")
-    _emit_config(cfg, out)
-    _write(out / "sweep.csv", "\n".join(lines) + "\n")
+    _emit_config(tree, out)
+    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     print(f"sweep: {len(rows)} rows -> {out}")
     return 0
 
 
-def cmd_gap(cfg: RunConfig, out: Path) -> int:
-    conf = build_configuration(cfg)
-    t = float(cfg.require("t"))
-    blk = cfg.block("window")
+def cmd_gap(tree: dict, out: Path) -> int:
+    conf = build_configuration(tree)
+    t = float(_require(tree, "t"))
+    blk = tree.get("window", {})
     if "epsilon" not in blk:
         raise ConfigError("gap command needs window.epsilon")
     eps = float(blk["epsilon"])
-    n_samples = int(cfg.get("samples", 2000))
-    frame = build_frame(cfg, conf=conf)
+    n_samples = int(tree.get("samples", 2000))
+    frame = build_frame(tree, conf=conf)
     center = frame.window.x_star_t
     interval = (center - eps, center + eps)
-    quad = cfg.block("quadrature")
-    m0 = int(quad.get("fredholm_m0", 8))
-    fred = gap_probability(GapProblem(_frame_gap_kernel(frame), (-1.0, 1.0), m=m0))
-    spectra = sample_spectra(conf, t, n_samples, seed=cfg.seed, threads=cfg.threads)
+    fred = gap_probability(GapProblem(_frame_gap_kernel(frame), (-1.0, 1.0)))
+    spectra = sample_spectra(
+        conf, t, n_samples, seed=int(tree.get("seed", 0)), threads=tree.get("threads")
+    )
     freq, se = empirical_gap_frequency(spectra, interval)
     blob = {
         "interval": [interval[0], interval[1]],
         "fredholm": fred.to_json(),
         "monte_carlo": {"samples": n_samples, "frequency": freq, "stderr": se},
     }
-    _emit_config(cfg, out)
-    _write(out / "gap.json", json.dumps(blob, sort_keys=True, indent=2) + "\n")
-    _write(
-        out / "summary.csv",
-        _summary_csv(
-            [
-                ("fredholm_probability", fred.probability),
-                ("fredholm_raw_det", fred.raw_det),
-                ("mc_frequency", freq),
-                ("mc_stderr", se),
-            ]
-        ),
-    )
+    _emit_config(tree, out)
+    (out / "gap.json").write_text(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+    rows = [
+        ("fredholm_probability", fred.probability),
+        ("fredholm_raw_det", fred.raw_det),
+        ("mc_frequency", freq),
+        ("mc_stderr", se),
+    ]
+    (out / "summary.csv").write_text(_summary_csv(rows))
     print(
         f"gap: [{interval[0]:.6g}, {interval[1]:.6g}] fredholm={fred.probability:.6g} "
         f"mc={freq:.6g}±{se:.2g} ({n_samples} samples) -> {out}"
@@ -464,15 +387,15 @@ def cmd_gap(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_paths(cfg: RunConfig, out: Path) -> int:
-    conf = build_configuration(cfg)
-    grid = [float(v) for v in cfg.require("t_grid")]
+def cmd_paths(tree: dict, out: Path) -> int:
+    conf = build_configuration(tree)
+    grid = [float(v) for v in _require(tree, "t_grid")]
     if not grid:
         raise ConfigError("paths needs a nonempty 't_grid'")
-    idx = int(cfg.get("sample_index", 0))
-    traj = dbm_paths(conf, grid, idx, seed=cfg.seed)
-    _emit_config(cfg, out)
-    _write(out / "paths.csv", paths_csv(grid, traj))
+    idx = int(tree.get("sample_index", 0))
+    traj = dbm_paths(conf, grid, idx, seed=int(tree.get("seed", 0)))
+    _emit_config(tree, out)
+    (out / "paths.csv").write_text(paths_csv(grid, traj))
     print(f"paths: {len(grid)} times x {conf.n} walkers -> {out}")
     return 0
 
@@ -522,9 +445,8 @@ def main(argv=None) -> int:
             tree["threads"] = int(args.threads)
         if args.out is not None:
             tree["out"] = str(args.out)
-        cfg = validate_config(tree)
-        out = Path(cfg.get("out", "dbmlab_out"))
-        return _COMMANDS[args.command](cfg, out)
+        validate_config(tree)
+        return _COMMANDS[args.command](tree, Path(tree.get("out", "dbmlab_out")))
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,9 +64,6 @@ class GapResult:
             "probability": self.probability,
         }
 
-    def __float__(self) -> float:
-        return self.raw_det
-
 
 def _determinant(problem: GapProblem, m: int) -> float:
     a, b = problem.interval

@@ -51,8 +51,6 @@ __all__ = [
     "inverse_map",
     "make_window",
     "gap_window",
-    "window_to_json",
-    "window_from_json",
 ]
 
 _DIVERGENCE_THRESHOLD = 1e12  # partial integrals beyond this count as divergent
@@ -487,9 +485,6 @@ class FreeConvolutionState:
     def y(self, x):
         return float(self._y_profile(np.array([float(x)]))[0])
 
-    def stieltjes(self, z):
-        return stieltjes(self.mu, z)
-
     def H_raw(self, z):
         """H(z) = z + t G(z) without domain validation."""
         z = complex(z)
@@ -792,28 +787,6 @@ def _window(state, x_star, epsilon, u_grid):
         c_t=None if epsilon is not None else y_star / (math.pi * state.t),
         epsilon=epsilon,
         u_grid=tuple(u_grid) if u_grid is not None else DEFAULT_U_GRID,
-    )
-
-
-def window_to_json(window):
-    blob = {
-        "x_star": window.x_star,
-        "t": window.t,
-        "x_star_t": window.x_star_t,
-        "c_t": window.c_t,
-    }
-    if window.epsilon is not None:
-        blob["epsilon"] = window.epsilon
-    return blob
-
-
-def window_from_json(blob):
-    return Window(
-        x_star=float(blob["x_star"]),
-        t=float(blob["t"]),
-        x_star_t=float(blob["x_star_t"]),
-        c_t=None if blob["c_t"] is None else float(blob["c_t"]),
-        epsilon=float(blob["epsilon"]) if "epsilon" in blob else None,
     )
 
 

@@ -32,7 +32,8 @@ from .panels import panel_nodes
 _DROP_CUTOFF = 60.0
 
 # bytes of one block's largest temporary: an x-block of the Lagrange sums,
-# or each of the two real Cauchy temporaries of a w-block in _loop_sum
+# each of the two real Cauchy temporaries of a w-block in _loop_sum, or
+# each real temporary of a q-block in RescaledKernelFrame._phi_parts
 _BLOCK_BYTES = 2_000_000
 
 
@@ -373,12 +374,21 @@ class RescaledKernelFrame:
         # window coordinate a -> (z_saddle(a), Re phi_hat(z_saddle(a), a))
         self._saddles: dict[float, tuple[complex, float]] = {}
         self._pairs: dict[tuple[float, float], float] = {}
-        self._lump_cache = None
         self._far_lumps: dict[tuple[int, int], tuple | None] = {}
         # largest node count, both contours and both halves, of an accepted row
         self.quadrature_m = 0
         # Re z_saddle(0), reported as the frame's anchor
         self.x0 = self._saddles_at((0.0,))[0][0].real
+        # runs [i, j) of positive heights on the graph that solve built,
+        # widened by one graph point a side
+        g = self.state._ensure_graph()
+        pos = np.concatenate([[False], g.ys > 0.0, [False]])
+        ends = np.flatnonzero(np.diff(pos))
+        last = g.xs.size - 1
+        self._lumps = [
+            (float(g.xs[max(i - 1, 0)]), float(g.xs[min(j, last)]))
+            for i, j in zip(ends[::2], ends[1::2])
+        ]
 
     # -- geometry ----------------------------------------------------------
 
@@ -407,9 +417,7 @@ class RescaledKernelFrame:
         n, t = self.n, self.t
         xst = self.window.x_star_t
         b = (n / (2.0 * t)) * (q - xst) ** 2
-        block = max(1, int(2_000_000 / max(1, self.n)))
-        for i in range(0, q.size, block):
-            sl = slice(i, i + block)
+        for sl in _x_blocks(q.size, 8 * n):
             # sum of log(q - a) in real arithmetic, on the same principal branch
             dx = q.real[sl, None] - self.points[None, :]
             dy = q.imag[sl, None]
@@ -425,19 +433,6 @@ class RescaledKernelFrame:
             lor = float(np.mean(1.0 / np.maximum(d2, 1e-300)))
             val = (self.n / self.t) * max(1.0 - self.t * lor, 1e-12)
         return max(val, 1e-300)
-
-    def _lumps(self):
-        if self._lump_cache is None:
-            g = self.state._ensure_graph()
-            # runs [i, j) of positive heights, widened by one graph point a side
-            pos = np.concatenate([[False], g.ys > 0.0, [False]])
-            ends = np.flatnonzero(np.diff(pos))
-            last = g.xs.size - 1
-            self._lump_cache = [
-                (float(g.xs[max(i - 1, 0)]), float(g.xs[min(j, last)]))
-                for i, j in zip(ends[::2], ends[1::2])
-            ]
-        return self._lump_cache
 
     # -- contour quadrature --------------------------------------------------
 
@@ -535,7 +530,7 @@ class RescaledKernelFrame:
     def _w_contour(self, x0: float, s: float, width: float, level: int):
         """Upper half of the loop: parameter-midpoint nodes, steps, B and L."""
         parts = []
-        for k, (lo, hi) in enumerate(self._lumps()):
+        for k, (lo, hi) in enumerate(self._lumps):
             if hi <= lo:
                 continue
             if lo <= x0 <= hi:

@@ -4,9 +4,9 @@ A MeasureSpec is an exactly described probability density on the real
 line (semicircle, normalized power law, uniform, or piecewise
 polynomial); every quantity derived from it (cdf, quantiles, critical
 times) is computed from closed-form antiderivatives where they exist.
-An InitialConfiguration is a finite ordered point set together with the
-generator that produced it, so a configuration can be re-created
-bit-exactly from its serialized description.
+An InitialConfiguration is a finite sorted point set built by one of its
+deterministic generators (quantiles, equispaced, explicit, with a gap
+inserted), so the same generator arguments give bitwise the same points.
 
 Total mass of every spec is validated to 1e-10 at construction time.
 """
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -390,10 +389,9 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True, eq=False)
 class InitialConfiguration:
-    """Point set plus the generator description that reproduces it."""
+    """Sorted, read-only point set; the generators are deterministic."""
 
     points: np.ndarray
-    provenance: dict = field(default_factory=lambda: {"kind": "explicit"})
 
     def __post_init__(self):
         pts = np.sort(np.asarray(self.points, dtype=float))
@@ -409,115 +407,15 @@ class InitialConfiguration:
 
     @staticmethod
     def from_quantiles(mu, n):
-        pts = quantiles(mu, n)
-        prov = {"kind": "quantiles", "n": int(n), "measure": measure_to_config(mu)}
-        return InitialConfiguration(pts, prov)
+        return InitialConfiguration(quantiles(mu, n))
 
     @staticmethod
     def equispaced(a, b, n):
-        pts = np.linspace(float(a), float(b), int(n))
-        prov = {"kind": "equispaced", "a": float(a), "b": float(b), "n": int(n)}
-        return InitialConfiguration(pts, prov)
+        return InitialConfiguration(np.linspace(float(a), float(b), int(n)))
 
     @staticmethod
     def explicit(points):
-        pts = np.asarray(points, dtype=float)
-        prov = {"kind": "explicit", "points": [float(p) for p in pts]}
-        return InitialConfiguration(pts, prov)
+        return InitialConfiguration(np.asarray(points, dtype=float))
 
     def with_gap(self, x_star, half_width):
-        pts = insert_gap(self.points, x_star, half_width)
-        prov = {
-            "kind": "gap",
-            "x_star": float(x_star),
-            "half_width": float(half_width),
-            "base": self.provenance,
-        }
-        return InitialConfiguration(pts, prov)
-
-
-def config_to_dict(cfg):
-    return {"generator": cfg.provenance}
-
-
-def config_from_dict(d):
-    try:
-        gen = d["generator"]
-    except (KeyError, TypeError):
-        raise ValueError("configuration dict needs a 'generator' block") from None
-    return _replay(gen)
-
-
-def _replay(gen):
-    kind = gen.get("kind")
-    if kind == "explicit":
-        return InitialConfiguration.explicit(np.asarray(gen["points"], dtype=float))
-    if kind == "equispaced":
-        return InitialConfiguration.equispaced(gen["a"], gen["b"], gen["n"])
-    if kind == "quantiles":
-        mu = measure_from_config(gen["measure"])
-        return InitialConfiguration.from_quantiles(mu, gen["n"])
-    if kind == "gap":
-        base = _replay(gen["base"])
-        return base.with_gap(gen["x_star"], gen["half_width"])
-    raise ValueError(f"unknown configuration generator {kind!r}")
-
-
-# ---------------------------------------------------------------- serialization
-
-
-def measure_to_config(mu):
-    if mu.kind == "semicircle":
-        return {
-            "kind": "semicircle",
-            "variance": mu.params[0],
-            "support": [list(mu.support[0])],
-        }
-    if mu.kind == "power":
-        kappa, c, _ = mu.params
-        return {
-            "kind": "power",
-            "exponent": kappa,
-            "center": c,
-            "support": [list(mu.support[0])],
-        }
-    if mu.kind == "uniform":
-        return {"kind": "uniform", "support": [list(mu.support[0])]}
-    if mu.kind == "piecewise":
-        return {
-            "kind": "piecewise",
-            "pieces": [
-                {"support": [a, b], "coefficients": list(coeffs)}
-                for (a, b), coeffs in mu.params
-            ],
-        }
-    raise ValueError(f"unknown measure kind {mu.kind!r}")
-
-
-def measure_from_config(d):
-    kind = d.get("kind")
-    if kind == "semicircle":
-        return MeasureSpec.semicircle(d["variance"])
-    if kind == "power":
-        (support,) = d["support"]
-        return MeasureSpec.power(d["exponent"], d["center"], tuple(support))
-    if kind == "uniform":
-        (support,) = d["support"]
-        return MeasureSpec.uniform(*support)
-    if kind == "piecewise":
-        pieces = [
-            (tuple(p["support"]), tuple(p["coefficients"])) for p in d["pieces"]
-        ]
-        return MeasureSpec.piecewise(pieces)
-    raise ValueError(f"unknown measure kind {kind!r}")
-
-
-def points_to_csv(points, path):
-    with open(path, "w") as fh:
-        for p in np.asarray(points, dtype=float):
-            fh.write(f"{p:.17g}\n")
-
-
-def points_from_csv(path):
-    with open(path) as fh:
-        return np.array([float(line) for line in fh if line.strip()])
+        return InitialConfiguration(insert_gap(self.points, x_star, half_width))

@@ -65,22 +65,16 @@ class TestConfigFormat:
         tree = cli.parse_config_text("# header\n\nn = 3  # trailing\n")
         assert tree == {"n": 3}
 
-    def test_round_trip_is_identity_on_canonical_form(self):
-        tree = cli.parse_config_text(KERNEL_CONF)
-        text = cli.serialize_config(tree)
-        assert cli.parse_config_text(text) == tree
-        # canonical text is itself a fixed point
-        assert cli.serialize_config(cli.parse_config_text(text)) == text
-
     def test_single_element_list_round_trips(self):
-        tree = {"t_grid": [0.5], "n_grid": [10]}
-        again = cli.parse_config_text(cli.serialize_config(tree))
-        assert again == tree
+        tree = cli.parse_config_text("t_grid = 0.5\nn_grid = 10\n")
+        assert tree == {"t_grid": [0.5], "n_grid": [10]}
+        # through the config.json mirror and back
+        assert json.loads(json.dumps(tree)) == tree
 
     def test_empty_list_round_trips(self):
         tree = cli.parse_config_text("t_grid =\n")
         assert tree == {"t_grid": []}
-        assert cli.parse_config_text(cli.serialize_config(tree)) == tree
+        assert json.loads(json.dumps(tree)) == tree
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -91,9 +85,12 @@ class TestConfigFormat:
             cli.parse_config_text("measure {\n flavor = 2\n}\n")
 
     def test_removed_m_nodes_key_rejected(self):
-        # the frame never used a Lagrange node count
+        # the frame never used a Lagrange node count, and contour and
+        # Fredholm tolerances are not config keys
         with pytest.raises(ConfigError):
             cli.parse_config_text("quadrature {\n m_nodes = 64\n}\n")
+        with pytest.raises(ConfigError):
+            cli.parse_config_text("quadrature {\n max_levels = 8\n}\n")
 
     def test_type_errors_rejected(self):
         with pytest.raises(ConfigError):
@@ -172,7 +169,7 @@ class TestKernelCommand:
 
         # values match a frame built directly from the same description
         config = InitialConfiguration.from_quantiles(
-            cli.build_measure(cli.validate_config(cli.parse_config_text(KERNEL_CONF))),
+            cli.build_measure(cli.parse_config_text(KERNEL_CONF)),
             4,
         )
         grid = np.arange(-2, 3) * 0.5
@@ -385,9 +382,14 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_nonconvergence_exits_3(self, tmp_path):
+        # a gap frame outside the underflow regime, where the contour route
+        # is known to fail (garbage values or a stall); on the default grid
+        # its refinement stalls at level 8, a genuine non-convergence
         conf = write_conf(
             tmp_path,
-            KERNEL_CONF + "quadrature {\n max_levels = 0\n}\n",
+            "measure {\n kind = uniform\n}\n"
+            "n = 40\ngenerator = equispaced_gap\ngap_half_width = 0.3\n"
+            "t = 0.015\nwindow {\n epsilon = 0.1\n}\n",
         )
         rc = cli.main(["kernel", "--config", str(conf), "--out", str(tmp_path / "o")])
         assert rc == 3

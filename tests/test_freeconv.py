@@ -19,9 +19,7 @@ from dbmlab.freeconv import (
     second_moment_integral,
     stieltjes,
     t_critical,
-    window_from_json,
     window_scale,
-    window_to_json,
     y_t,
 )
 from dbmlab.measures import (
@@ -452,12 +450,6 @@ def test_window_consistency_with_psi():
     assert psi_t(UNIFORM, 0.5, w.x_star_t) == pytest.approx(w.c_t, abs=1e-8)
 
 
-def test_window_json_roundtrip():
-    w = make_window(SEMI, 1.0, 0.1)
-    w2 = window_from_json(window_to_json(w))
-    assert w2 == w
-
-
 def test_bulk_window_rejected_in_gap():
     emp = EmpiricalMeasure(np.array([-2.0, -1.5, 1.5, 2.0]))
     with pytest.raises(OutsideDomain):
@@ -473,9 +465,6 @@ def test_gap_window():
     g = stieltjes(cfg.empirical(), 0.0)
     assert g.imag == 0.0
     assert w.x_star_t == pytest.approx(t * g.real, abs=1e-10)
-    blob = window_to_json(w)
-    assert blob["c_t"] is None
-    assert window_from_json(blob) == w
 
 
 def test_gap_window_rejected_in_bulk():
