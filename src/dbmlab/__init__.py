@@ -33,6 +33,7 @@ from .kernel import (  # noqa: F401
     biorthogonality_check,
     correlation_function,
     frame_to_json,
+    gauge_free_deviation,
     gauge_to_paper,
     kernel_lagrange,
     kernel_matrix,

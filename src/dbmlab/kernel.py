@@ -32,8 +32,9 @@ from .panels import panel_nodes
 _DROP_CUTOFF = 60.0
 
 # bytes of one block's largest temporary: an x-block of the Lagrange sums,
-# each of the two real Cauchy temporaries of a w-block in _loop_sum, or
-# each real temporary of a q-block in RescaledKernelFrame._phi_parts
+# the stacked real Cauchy blocks of a w-block in _loop_sum or any product
+# made from them, or each real temporary of a q-block in
+# RescaledKernelFrame._phi_parts
 _BLOCK_BYTES = 2_000_000
 
 
@@ -311,41 +312,46 @@ def correlation_function(ev: KernelEvaluator, pts) -> float:
 # -- rescaled double-contour frames ---------------------------------------
 
 def _loop_sum(x0: float, sig: np.ndarray, a: np.ndarray, wn: np.ndarray, q: np.ndarray):
-    """Double sum of a(z) q(w) / (z - w) over both halves of both contours, times i.
+    """Double sums of a(z) q(w) / (z - w) over both halves of both contours, times i.
 
-    The z-line is x0 + i*sig (sig > 0) with weights ``a``, mirrored to
-    x0 - i*sig with conj(a); the loop is ``wn`` with weight rows ``-q``,
-    mirrored to conj(wn) with conj(q).  The z weights are contracted first:
-    r1 = a @ 1/(z - w) and r2 = a @ 1/(z - conj w) give the whole sum as
-    [g, -conj g] @ [conj q, q] with g = r2 + conj(r1), accumulated in one
-    product so that its imaginary part is the rounding of the mirrored sum.
-    Every z shares the real part x0, so 1/(z - w) = (dx - i dy)/(dx^2 + dy^2)
-    with one real dx = x0 - Re w per column: the Cauchy blocks are real.
+    The z-line is x0 + i*sig (sig > 0) with weight columns ``a`` (Z x U),
+    mirrored to x0 - i*sig with conj(a); the loop is ``wn`` with weight rows
+    ``-q`` (W x V), mirrored to conj(wn) with conj(q); the result is U x V.
+    The z weights are contracted first: r1 = a^T @ 1/(z - w) and
+    r2 = a^T @ 1/(z - conj w) give the whole sum as [g, -conj g] @ [conj q, q]
+    with g = r2 + conj(r1), accumulated in one product so that its imaginary
+    part is the rounding of the mirrored sum.  Every z shares the real part
+    x0, so 1/(z - w) = (dx - i dy)/(dx^2 + dy^2) with one real dx = x0 - Re w
+    per column: the Cauchy blocks are real, and one real product per loop
+    half contracts both of them against the real and imaginary weights.
     """
-    nz = sig.size
-    amat = np.stack([a.real, a.imag])
-    block = max(1, _BLOCK_BYTES // (16 * max(1, nz)))
-    inv_buf = np.empty((nz, min(block, wn.size)))
-    dy_buf = np.empty_like(inv_buf)
-    ssum = np.zeros(q.shape[1], dtype=complex)
+    nz, nu = a.shape
+    amat = np.concatenate([a.real.T, a.imag.T])
+    block = max(1, _BLOCK_BYTES // (16 * max(nz, 2 * nu, 2 * q.shape[1])))
+    # the transposed Cauchy blocks, stacked: rows of inv, then rows of dy
+    buf = np.empty((2 * min(block, wn.size), nz))
+    ssum = np.zeros((nu, q.shape[1]), dtype=complex)
     for i in range(0, wn.size, block):
         sl = slice(i, i + block)
         dx = x0 - wn.real[sl]
         dx2 = dx * dx
-        inv, dy = inv_buf[:, : dx.size], dy_buf[:, : dx.size]
+        k = dx.size
+        cauchy = buf[: 2 * k]
+        inv, dy = cauchy[:k], cauchy[k:]
         r = []
         for wy in (wn.imag[sl], -wn.imag[sl]):
             # 1/(z - w) = dx*inv - i*dy*inv for w = Re w + i*wy
-            np.subtract(sig[:, None], wy[None, :], out=dy)
+            np.subtract(sig[None, :], wy[:, None], out=dy)
             np.multiply(dy, dy, out=inv)
-            inv += dx2
+            inv += dx2[:, None]
             np.reciprocal(inv, out=inv)
             dy *= inv
-            p, m = amat @ inv, amat @ dy
-            r.append((p[0] * dx + m[1]) + 1j * (p[1] * dx - m[0]))
+            pm = amat @ cauchy.T
+            p, m = pm[:, :k], pm[:, k:]
+            r.append((p[:nu] * dx + m[nu:]) + 1j * (p[nu:] * dx - m[:nu]))
         g = r[1] + np.conj(r[0])
         qs = q[sl]
-        ssum += np.concatenate([g, -np.conj(g)]) @ np.concatenate([np.conj(qs), qs])
+        ssum += np.concatenate([g, -np.conj(g)], axis=1) @ np.concatenate([np.conj(qs), qs])
     return 1j * ssum
 
 
@@ -549,37 +555,45 @@ class RescaledKernelFrame:
             return (np.empty(0, dtype=complex),) * 4
         return tuple(np.concatenate(arrs) for arrs in zip(*parts))
 
-    def _column(self, u: float, vs: np.ndarray, level: int):
+    def _block(self, us: np.ndarray, vs: np.ndarray, anchor: float, level: int):
+        """Rows us x columns vs on the z-line and loop through z_saddle(anchor).
+
+        Returns the values, each row's imaginary residual and the node count.
+        """
         n, t, h = self.n, self.t, self.h
-        (zs, ref_z), *at_v = self._saddles_at((u, *vs))
-        x0, s = zs.real, zs.imag
+        (za, _), *at = self._saddles_at((anchor, *us, *vs))
+        ref_z = np.array([ref for _, ref in at[: us.size]])
+        ref_w = np.array([ref for _, ref in at[us.size :]])
+        x0, s = za.real, za.imag
         beta = self._beta(x0, s)
         width = 1.0 / math.sqrt(beta)
 
         sig, wsig = self._z_line(x0, s, width, level)
         bz, lz = self._phi_parts(x0 + 1j * sig)
-        phi_z = bz - h * u * lz
-        keep = (phi_z.real - ref_z) > -_DROP_CUTOFF
+        phi_z = bz[:, None] - (h * lz)[:, None] * us[None, :]
+        # each row is referenced to its own saddle; a node stays if any row needs it
+        keep = np.any(phi_z.real - ref_z > -_DROP_CUTOFF, axis=1)
         sig, wsig, phi_z = sig[keep], wsig[keep], phi_z[keep]
-        a = wsig * np.exp(phi_z - ref_z)
+        with np.errstate(under="ignore"):
+            a = wsig[:, None] * np.exp(phi_z - ref_z)
 
         wn, wst, bw, lw = self._w_contour(x0, s, width, level)
-        ref_w = np.array([ref for _, ref in at_v])
         theta = h * n * s / t
-        du = u - vs
+        du = us[:, None] - vs[None, :]
         # one gauge for all rows, at self.x0; the crossing residue carries
-        # the row's own factor exp(-(nh/t) du (x0 - x*_t))
-        a_row = (theta / math.pi) * np.sinc(du * theta / math.pi)
-        a_row = a_row * np.exp((n * h / t) * du * (self.x0 - x0))
+        # the line's own factor exp(-(nh/t) du (x0 - x*_t)), 1 when x0 = self.x0
+        a_blk = (theta / math.pi) * np.sinc(du * theta / math.pi)
+        a_blk = a_blk * np.exp((n * h / t) * du * (self.x0 - x0))
+        no_resid = np.zeros(us.size)
 
         if wn.size == 0:
-            return a_row, 0.0, 2 * sig.size
+            return a_blk, no_resid, 2 * sig.size
 
         phi_w = bw[:, None] - (h * lw)[:, None] * vs[None, :]
         drop = ref_w[None, :] - phi_w.real
         keep_w = np.any(drop > -_DROP_CUTOFF, axis=1)
         if not np.any(keep_w):
-            return a_row, 0.0, 2 * sig.size
+            return a_blk, no_resid, 2 * sig.size
         wn, wst, phi_w = wn[keep_w], wst[keep_w], phi_w[keep_w]
         with np.errstate(under="ignore"):
             ew = np.exp(ref_w[None, :] - phi_w)
@@ -588,29 +602,32 @@ class RescaledKernelFrame:
         ssum = _loop_sum(x0, sig, a, wn, q)
         gauge = (n * h / t) * du * (self.x0 - self.window.x_star_t)
         pref = -h * n / (4.0 * math.pi**2 * t)
-        i_row = pref * np.exp(gauge + ref_z - ref_w) * ssum
-        if not np.all(np.isfinite(i_row)):
-            raise NonConvergence("contour exponent overflow in frame column")
-        resid = float(np.max(np.abs(i_row.imag)))
-        return a_row + i_row.real, resid, 2 * (sig.size + wn.size)
+        i_blk = pref * np.exp(gauge + ref_z[:, None] - ref_w[None, :]) * ssum
+        if not np.all(np.isfinite(i_blk)):
+            raise NonConvergence("contour exponent overflow in frame block")
+        resid = np.max(np.abs(i_blk.imag), axis=1)
+        return a_blk + i_blk.real, resid, 2 * (sig.size + wn.size)
 
-    def _row(self, u: float, vs: tuple) -> np.ndarray:
+    def _refine(self, us, vs, anchor: float) -> np.ndarray:
+        """One block, refined until every row passes its own tolerance."""
+        uarr = np.asarray(us, dtype=float)
         varr = np.asarray(vs, dtype=float)
-        prev, _, _ = self._column(u, varr, 0)
+        prev, _, _ = self._block(uarr, varr, anchor, 0)
         err = math.inf
         for level in range(1, self.max_levels + 1):
-            cur, resid, nodes = self._column(u, varr, level)
-            err = float(np.max(np.abs(cur - prev)))
-            scale = float(np.max(np.abs(cur)))
-            ok = err <= max(self.dc_tol, 1e-6 * scale)
-            ok_im = resid <= max(1e-9, 1e-6 * scale)
-            if ok and ok_im:
+            cur, resid, nodes = self._block(uarr, varr, anchor, level)
+            errs = np.max(np.abs(cur - prev), axis=1)
+            scale = np.max(np.abs(cur), axis=1)
+            err = float(np.max(errs))
+            ok = errs <= np.maximum(self.dc_tol, 1e-6 * scale)
+            ok_im = resid <= np.maximum(1e-9, 1e-6 * scale)
+            if np.all(ok & ok_im):
                 self.quadrature_m = max(self.quadrature_m, nodes)
                 # halving the cell size quarters the error, so one Richardson
                 # step removes the leading term
                 out = cur + (cur - prev) / 3.0
-                for v, val in zip(vs, out):
-                    self._pairs[(u, v)] = float(val)
+                for u, row in zip(us, out.tolist()):
+                    self._pairs.update(zip(((u, v) for v in vs), row))
                 return out
             prev = cur
         raise NonConvergence(
@@ -622,16 +639,30 @@ class RescaledKernelFrame:
         u, v = float(u), float(v)
         got = self._pairs.get((u, v))
         if got is None:
-            got = float(self._row(u, (v,))[0])
+            got = float(self.values([u], [v])[0, 0])
         return got
 
     def values(self, us, vs) -> np.ndarray:
+        """K(u, v) on a grid; a grid whose every pair is stored is read back.
+
+        All rows share the contour through z_saddle(0) when every saddle of
+        the grid is complex and sits on the loop lump of that anchor; any
+        real saddle puts each row on its own contour through z_saddle(u).
+        """
         us = [float(u) for u in np.atleast_1d(us)]
-        vs = tuple(float(v) for v in np.atleast_1d(vs))
-        self._saddles_at(us + list(vs))
+        vs = [float(v) for v in np.atleast_1d(vs)]
+        if all((u, v) in self._pairs for u in us for v in vs):
+            return np.array([[self._pairs[u, v] for v in vs] for u in us]).reshape(
+                len(us), len(vs)
+            )
+        zs = [z for z, _ in self._saddles_at([0.0, *us, *vs])]
+        x0 = zs[0].real
+        home = [(lo, hi) for lo, hi in self._lumps if lo <= x0 <= hi]
+        if home and all(z.imag > 0.0 and home[0][0] <= z.real <= home[0][1] for z in zs):
+            return self._refine(us, vs, 0.0)
         out = np.empty((len(us), len(vs)))
         for i, u in enumerate(us):
-            out[i] = self._row(u, vs)
+            out[i] = self._refine((u,), vs, u)[0]
         return out
 
     def sine_amplitude(self, u) -> float:
@@ -652,6 +683,22 @@ def sup_sine_deviation(frame: RescaledKernelFrame, us=None, vs=None) -> float:
     got = frame.values(grid_u, grid_v)
     ref = np.sinc(grid_u[:, None] - grid_v[None, :])
     return float(np.max(np.abs(got - ref)))
+
+
+def gauge_free_deviation(frame: RescaledKernelFrame, us=None, vs=None) -> float:
+    """Max deviation from the sine kernel of what no gauge can change.
+
+    Over the window grid: | sqrt|K(u,v) K(v,u)| - |sinc(u - v)| | and, where
+    u = v, |K(u,u) - 1|.  K(v,u) comes from the transposed grid.
+    """
+    grid_u = np.asarray(us if us is not None else frame.window.u_grid, float)
+    grid_v = np.asarray(vs if vs is not None else frame.window.u_grid, float)
+    got = frame.values(grid_u, grid_v)
+    back = frame.values(grid_v, grid_u).T
+    du = grid_u[:, None] - grid_v[None, :]
+    dev = np.abs(np.sqrt(np.abs(got * back)) - np.abs(np.sinc(du)))
+    on_diag = np.abs(got[du == 0.0] - 1.0)
+    return float(max(np.max(dev), np.max(on_diag, initial=0.0)))
 
 
 def frame_to_json(frame: RescaledKernelFrame) -> dict:

@@ -27,6 +27,7 @@ from dbmlab.kernel import (
     RescaledKernelFrame,
     biorthogonality_check,
     correlation_function,
+    gauge_free_deviation,
     gauge_to_paper,
     kernel_lagrange,
     kernel_paper,
@@ -127,17 +128,20 @@ def test_criterion_05_cross_form_agreement():
 
 def test_criterion_06_bulk_universality_trend():
     t = 0.5
-    sup_dev = {}
+    sup_dev, free_dev = {}, {}
     for n in (50, 100, 200):
         config = InitialConfiguration.from_quantiles(UNIFORM, n)
         frame = RescaledKernelFrame(config, t, make_window(UNIFORM, t, 0.0))
         sup_dev[n] = sup_sine_deviation(frame)
+        free_dev[n] = gauge_free_deviation(frame)
     assert sup_dev[200] <= 0.05
     assert sup_dev[50] > sup_dev[100] > sup_dev[200]
+    assert free_dev[50] > free_dev[100] > free_dev[200]
     print(
         "[criterion 6] PASS sup|rescaled - sine| = "
         f"{sup_dev[50]:.4f} > {sup_dev[100]:.4f} > {sup_dev[200]:.4f}, "
-        "final <= 0.05"
+        "final <= 0.05; gauge-free "
+        f"{free_dev[50]:.4f} > {free_dev[100]:.4f} > {free_dev[200]:.4f}"
     )
 
 
@@ -145,20 +149,27 @@ def test_criterion_07_regime_contrast_soft_center():
     mu = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
     scale_const = 0.05
     above, below = {}, {}
+    above_free, below_free = {}, {}
     for n in (50, 100, 200):
         config = InitialConfiguration.from_quantiles(mu, n)
         t_n = scale_const * n ** (-1.0 / 3.0) * math.log(n) ** 2
         t_sub = float(n) ** (-2.0 / 3.0)
-        for store, t in ((above, t_n), (below, t_sub)):
+        for store, free, t in ((above, above_free, t_n), (below, below_free, t_sub)):
             frame = RescaledKernelFrame(config, t, make_window(mu, t, 0.0))
             store[n] = sup_sine_deviation(frame)
+            free[n] = gauge_free_deviation(frame)
     assert above[50] > above[100] > above[200]
+    assert above_free[50] > above_free[100] > above_free[200]
     for n, dev in below.items():
+        assert dev >= 0.2, (n, dev)
+    for n, dev in below_free.items():
         assert dev >= 0.2, (n, dev)
     print(
         "[criterion 7] PASS D(n, t_n) decreasing: "
         f"{above[50]:.3g} > {above[100]:.3g} > {above[200]:.3g}; "
-        f"sub-threshold D >= 0.2 at all n (min {min(below.values()):.3g})"
+        f"sub-threshold D >= 0.2 at all n (min {min(below.values()):.3g}); "
+        f"gauge-free {above_free[50]:.3g} > {above_free[100]:.3g} > "
+        f"{above_free[200]:.3g}, sub-threshold min {min(below_free.values()):.3g}"
     )
 
 

@@ -476,16 +476,16 @@ class TestRescaledFrame:
 
 
 def dense_loop_sum(x0, sig, a, wn, q):
-    """The double sum over both contour halves with one plain Cauchy matrix."""
+    """The double sums over both contour halves with one plain Cauchy matrix."""
     z = np.concatenate([x0 + 1j * sig, x0 - 1j * sig])
     w = np.concatenate([wn, np.conj(wn)])
     az = np.concatenate([a, np.conj(a)])
     qw = np.concatenate([-q, np.conj(q)])
-    return 1j * (az @ (1.0 / (z[:, None] - w[None, :])) @ qw)
+    return 1j * (az.T @ (1.0 / (z[:, None] - w[None, :])) @ qw)
 
 
-def _bulk_uniform_frame():
-    cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), 50)
+def _bulk_uniform_frame(n=50):
+    cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), n)
     return RescaledKernelFrame(cfg, 0.5, make_window(cfg.empirical(), 0.5, 0.0))
 
 
@@ -508,25 +508,107 @@ def _two_cluster_frame():
     ids=["bulk-uniform-n50", "power-half-n50", "two-cluster"],
 )
 def test_column_matches_dense_double_sum(make_frame, monkeypatch):
-    # _column contracts the z weights into real Cauchy blocks first; the
-    # reference sums the same nodes and weights through one dense 1/(Z - W)
+    # _block contracts the z weights into real Cauchy blocks first; the
+    # reference sums the same nodes and weights through one dense 1/(Z - W).
+    # Three rows on the line through z_saddle(0), then each row on its own.
     frame = make_frame()
     vs = np.array([-1.0, -0.25, 0.0, 0.5, 1.0])
-    cols = {}
+    blocks = [((-1.0, 0.0, 1.0), 0.0)] + [((u,), u) for u in (-1.0, 0.0, 1.0)]
+    got = {}
     for level in range(3):
-        for u in (-1.0, 0.0, 1.0):
-            cols[(level, u)] = frame._column(u, vs, level)
+        for us, anchor in blocks:
+            got[(level, us, anchor)] = frame._block(np.array(us), vs, anchor, level)
     monkeypatch.setattr(kernel, "_loop_sum", dense_loop_sum)
-    for (level, u), (got, resid, nodes) in cols.items():
-        ref, _, ref_nodes = frame._column(u, vs, level)
+    for (level, us, anchor), (vals, resid, nodes) in got.items():
+        ref, _, ref_nodes = frame._block(np.array(us), vs, anchor, level)
         scale = float(np.max(np.abs(ref)))
+        assert vals.shape == (len(us), vs.size)
         assert nodes == ref_nodes
-        assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (level, u)
-        assert math.isfinite(resid)
-        assert resid <= 1e-12 * scale, (level, u, resid)
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * scale, (level, us)
+        assert np.all(np.isfinite(resid))
+        assert np.max(resid) <= 1e-12 * scale, (level, us, resid)
     # the residual is the rounding of one sum over both loop halves; one
     # that is exactly 0 everywhere would make the realness check vacuous
-    assert any(resid > 0.0 for _, resid, _ in cols.values())
+    assert any(np.max(resid) > 0.0 for _, resid, _ in got.values())
+
+
+def _count_block_levels(frame, monkeypatch):
+    levels = []
+    block = frame._block
+
+    def counted(us, vs, anchor, level):
+        levels.append(level)
+        return block(us, vs, anchor, level)
+
+    monkeypatch.setattr(frame, "_block", counted)
+    return levels
+
+
+@pytest.mark.parametrize(
+    "make_frame, grid",
+    [
+        (lambda: _bulk_uniform_frame(100), None),
+        (_power_half_frame, np.arange(-4, 5) * 0.5),
+    ],
+    ids=["bulk-uniform-n100", "power-half-n50"],
+)
+def test_shared_contour_matches_per_row_contours(make_frame, grid, monkeypatch):
+    # moving a row's z-line and loop to the contour through z_saddle(0) is a
+    # contour deformation: every row must agree with its own contour
+    frame = make_frame()
+    grid = np.asarray(frame.window.u_grid if grid is None else grid)
+    levels = _count_block_levels(frame, monkeypatch)
+    got = frame.values(grid, grid)
+    # the whole grid was one block: one call per level
+    assert levels == list(range(len(levels)))
+    scale = float(np.max(np.abs(got)))
+    for i, u in enumerate(grid):
+        ref = frame._refine((u,), grid, anchor=u)[0]
+        assert np.max(np.abs(got[i] - ref)) <= 1e-7 * scale, u
+        assert abs(got[i, i] - ref[i]) <= 1e-9 * abs(ref[i]), u
+
+
+def _sub_threshold_frame():
+    mu = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
+    n = 50
+    t = float(n) ** (-2.0 / 3.0)
+    cfg = InitialConfiguration.from_quantiles(mu, n)
+    return RescaledKernelFrame(cfg, t, make_window(mu, t, 0.0)), cfg
+
+
+def _gap_frame():
+    cfg = InitialConfiguration.equispaced(-1.0, 1.0, 40).with_gap(0.0, 0.3)
+    t = 0.01 * 0.3**2
+    return RescaledKernelFrame(cfg, t, gap_window(cfg, t, 0.0, epsilon=0.03)), cfg
+
+
+@pytest.mark.parametrize(
+    "make_frame", [_gap_frame, _sub_threshold_frame], ids=["gap", "power-half-sub"]
+)
+def test_real_saddle_frames_keep_per_row_contours(make_frame, monkeypatch):
+    # a real saddle in the grid (the gap window's, or y(0) = 0 below
+    # threshold) puts every row on its own contour through z_saddle(u)
+    frame, _ = make_frame()
+    grid = np.array([-1.0, 0.0, 1.0])
+    assert any(frame.sine_amplitude(u) == 0.0 for u in (0.0, *grid))
+    levels = _count_block_levels(frame, monkeypatch)
+    got = frame.values(grid, grid)
+    assert levels.count(0) == grid.size
+    ref = np.array([frame._refine((u,), grid, anchor=u)[0] for u in grid])
+    np.testing.assert_array_equal(got, ref)
+
+
+def test_sub_threshold_products_match_lagrange():
+    # K(u,v)K(v,u) carries no gauge; below threshold the frame keeps per-row
+    # contours, and the Lagrange route is the independent reference at n = 50
+    frame, cfg = _sub_threshold_frame()
+    ev = KernelEvaluator(cfg, frame.t)
+    for u, v in ((0.0, 1.0), (-1.0, 0.5), (-1.5, 1.5)):
+        x_u = frame.window.x_star_t + frame.h * u
+        x_v = frame.window.x_star_t + frame.h * v
+        ref = frame.h**2 * kernel_lagrange(ev, x_u, x_v) * kernel_lagrange(ev, x_v, x_u)
+        got = frame.value(u, v) * frame.value(v, u)
+        assert got == pytest.approx(ref, rel=1e-4), (u, v, got, ref)
 
 
 def test_frame_solves_new_saddles_in_one_inverse_call(monkeypatch):
