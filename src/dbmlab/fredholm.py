@@ -84,6 +84,13 @@ def gap_probability(problem: GapProblem) -> GapResult:
         seq.append((m, _determinant(problem, m)))
         if abs(seq[-1][1] - seq[-2][1]) <= _ABS_TOL:
             raw = seq[-1][1]
+            # a gap probability lies in [0, 1]: clamp within the tolerance,
+            # and beyond it report the determinant rather than a probability
+            if not -_ABS_TOL <= raw <= 1.0 + _ABS_TOL:
+                raise NonConvergence(
+                    f"gap determinant {raw!r} on {list(problem.interval)} at m={m} "
+                    f"lies outside [0, 1] by more than {_ABS_TOL:g}"
+                )
             return GapResult(
                 interval=problem.interval,
                 m_final=m,

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .measures import EmpiricalMeasure, InitialConfiguration, MeasureSpec
 from .measures import _illinois, _shaped
-from .panels import graded_edges, panel_nodes
+from .panels import gauss_panels, graded_edges, panel_nodes, row_union
 
 __all__ = [
     "FreeConvolutionState",
@@ -114,48 +114,11 @@ def _stieltjes_closed(mu, z):
     return ((np.log(z - a) - np.log(z - b)).real - 1j * angle) / (b - a)
 
 
-def _panel_edges(a, b, span, sharp=(), soft=(), soft_floor=None):
-    """Panel edges refining fully toward `sharp` points (density kinks) and
-    down to `soft_floor` toward `soft` points (pole anchors)."""
-    edges = graded_edges(a, b, special=sharp, floor=1e-13 * span)
-    if soft:
-        edges = np.union1d(edges, graded_edges(a, b, special=soft, floor=soft_floor))
-    return edges
-
-
-def _panel_rule(mu, x, y):
-    """Nodes s and weights w * density(s) for integrals against mu near x + iy.
-
-    Each piece of the support is graded toward its kinks, and toward x
-    (clipped into the piece) down to half of max(|y|, dist(x, piece)).
-    """
-    hull_lo, hull_hi = mu.hull()
-    span = max(hull_hi - hull_lo, 1e-12)
-    kinks = mu.kink_points()
-    nodes, weights = [], []
-    for a, b in mu.support:
-        if not b > a:
-            continue
-        anchor = min(max(x, a), b)
-        dist = max(abs(y), _interval_distance(x, a, b))
-        floor = max(0.5 * dist, 1e-13 * span)
-        edges = _panel_edges(
-            a, b, span,
-            sharp=[k for k in kinks if a < k < b],
-            soft=[anchor],
-            soft_floor=floor,
-        )
-        s, w = panel_nodes(edges)
-        nodes.append(s)
-        weights.append(w * mu.density(s))
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _cauchy_panels(mu, z):
     """int density(s)/(z - s) ds on the panel rule at z."""
     zz = complex(z)
-    s, wd = _panel_rule(mu, zz.real, zz.imag)
-    return complex(np.sum(wd / (zz - s)))
+    s, wd = _rule_rows(mu, np.array([zz.real]), zz.imag)
+    return complex(np.sum(wd[0] / (zz - s[0])))
 
 
 def _stieltjes_spec(mu, zz):
@@ -197,11 +160,9 @@ def _excised_integral(mu, x, eps):
         for lo, hi in ((a, min(b, x - eps)), (max(a, x + eps), b)):
             if not hi > lo:
                 continue
-            edges = _panel_edges(
-                lo, hi, hi - lo if hi - lo > 0 else 1.0,
-                sharp=[k for k in kinks if lo < k < hi],
-                soft=[x - eps, x + eps],
-                soft_floor=eps / 8.0,
+            edges = np.union1d(
+                graded_edges(lo, hi, [k for k in kinks if lo < k < hi], 1e-13 * (hi - lo)),
+                graded_edges(lo, hi, [x - eps, x + eps], eps / 8.0),
             )
             s, w = panel_nodes(edges)
             total += float(np.sum(w * mu.density(s) / (x - s)))
@@ -324,8 +285,8 @@ def second_moment_integral(mu, x):
         kappa, c, coeff = mu.params
         a, b = mu.support[0]
         if x < a or x > b:
-            s, wd = _panel_rule(mu, x, 0.0)
-            return float(np.sum(wd / (x - s) ** 2))
+            s, wd = _rule_rows(mu, np.array([x]), 0.0)
+            return float(np.sum(wd[0] / (x - s[0]) ** 2))
         if x == c:
             if kappa <= 1.0:
                 return math.inf
@@ -397,29 +358,67 @@ def _closed_lorentz_sums(mu, xs, big_y):
 
 
 def _rule_rows(mu, xs, y):
-    """One panel rule per point x + iy, as rows padded with zero weights on
-    nodes one unit right of the point: an exact 0 in every sum, also at y = 0."""
-    rules = [_panel_rule(mu, x, y) for x in xs]
-    width = max(s.size for s, _ in rules)
-    nodes = np.repeat(xs[:, None] + 1.0, width, axis=1)
-    weights = np.zeros((len(rules), width))
-    for row, (s, wd) in enumerate(rules):
-        nodes[row, : s.size] = s
-        weights[row, : s.size] = wd
-    return nodes, weights
+    """The panel rules for integrals against mu near the points xs + iy, one
+    row per point: nodes s, and weights w * density(s) padded with zeros on
+    nodes one unit right of the point, an exact 0 in every sum, also at
+    y = 0.
+
+    Each piece of the support is graded toward its kinks, and toward x
+    (clipped into the piece) down to half of max(|y|, dist(x, piece)).  The
+    kink grading is made once for all points, the grading toward the points
+    in one ``graded_edges`` call, and each row is bitwise the rule of its
+    point alone.
+    """
+    hull_lo, hull_hi = mu.hull()
+    span = max(hull_hi - hull_lo, 1e-12)
+    kinks = mu.kink_points()
+    rows, nodes, weights = [], [], []
+    for a, b in mu.support:
+        if not b > a:
+            continue
+        sharp = graded_edges(a, b, [k for k in kinks if a < k < b], 1e-13 * span)
+        dist = np.maximum(abs(y), np.maximum(np.maximum(a - xs, xs - b), 0.0))
+        row, edges = graded_edges(
+            a, b, np.clip(xs, a, b)[:, None], np.maximum(0.5 * dist, 1e-13 * span)
+        )
+        row, edges = row_union(
+            np.concatenate([row, np.repeat(np.arange(xs.size), sharp.size)]),
+            np.concatenate([edges, np.tile(sharp, xs.size)]),
+        )
+        inner = row[1:] == row[:-1]
+        s, w = gauss_panels(edges[:-1][inner], edges[1:][inner])
+        rows.append(np.repeat(row[1:][inner], s.shape[1]))
+        nodes.append(s.ravel())
+        weights.append(w.ravel())
+    # rows in order, and in each row the pieces in order
+    order = np.argsort(np.concatenate(rows), kind="stable")
+    row = np.concatenate(rows)[order]
+    s = np.concatenate(nodes)[order]
+    wd = np.concatenate(weights)[order] * mu.density(s)
+    count = np.bincount(row, minlength=xs.size)
+    col = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    out_nodes = np.repeat(xs[:, None] + 1.0, count.max(), axis=1)
+    out_weights = np.zeros(out_nodes.shape)
+    out_nodes[row, col] = s
+    out_weights[row, col] = wd
+    return out_nodes, out_weights
 
 
-def _row_lorentz_sums(nodes, weights, xs, big_y):
-    """L and M = -dL/dY with one row of nodes and weights per point."""
-    inv = 1.0 / ((xs[:, None] - nodes) ** 2 + big_y[:, None])
+def _row_lorentz_sums(dx2, weights, big_y):
+    """L and M = -dL/dY with one row of squared distances (x - s)^2 to the
+    nodes and one row of weights per point."""
+    inv = 1.0 / (dx2 + big_y[:, None])
     lsum = np.einsum("ij,ij->i", inv, weights)
     msum = np.einsum("ij,ij->i", np.multiply(inv, inv, out=inv), weights)
     return lsum, msum
 
 
-# points per block of panel rules: a rule has a few thousand nodes, so a
-# block's arrays stay near 1 MB
-_RULE_BLOCK = 32
+# points per block of panel rules, set by memory: a rule has up to about
+# 3000 nodes, and a block holds a dozen arrays of that size per point while
+# its rules are built, then x - s and (x - s)^2 through Newton.  At 32 points
+# one soft-center benchmark round peaked 3.5 MB above point-by-point rules;
+# at 8 it stays within 1 MB and runs as fast.  Rows do not depend on it.
+_RULE_BLOCK = 8
 _NEWTON_CAP = 64
 # an inverse-map bracket narrower than _XTOL + _RTOL |x| has settled
 _XTOL, _RTOL = 1e-10, 8.9e-16
@@ -466,7 +465,8 @@ class FreeConvolutionState:
     Newton solver (``_newton_heights``), and H along the graph from the
     same integrals: closed forms for the semicircle and uniform kinds,
     sums over the atoms of empirical measures, and one graded panel rule
-    per point (``_panel_rule``), shared by y and G, for the other kinds.
+    per point (a row of ``_rule_rows``), shared by y and G, for the other
+    kinds.
     H is increasing along the graph, so the cached graph brackets every xi
     at once and ``inverse`` solves H = xi for a whole array in one
     root-finding loop.
@@ -564,12 +564,13 @@ class FreeConvolutionState:
             sl = slice(j, j + _RULE_BLOCK)
             x = xs[sl]
             nodes, weights = _rule_rows(mu, x, _Y_START * self.sqrt_t)
+            dx = x[:, None] - nodes
+            dx2 = dx**2
             ys[sl] = y = _newton_heights(
-                lambda i, big_y: _row_lorentz_sums(nodes[i], weights[i], x[i], big_y),
+                lambda i, big_y: _row_lorentz_sums(dx2[i], weights[i], big_y),
                 self.t, x.size,
             )
-            dx = x[:, None] - nodes
-            d2 = dx**2 + y[:, None] ** 2
+            d2 = dx2 + y[:, None] ** 2
             g.real[sl] = np.einsum("ij,ij->i", weights, dx / d2)
             g.imag[sl] = -y * np.einsum("ij,ij->i", weights, 1.0 / d2)
         # on-support points pinched to the axis need the principal value

@@ -23,54 +23,81 @@ def _gl(order):
 def graded_edges(a, b, special=(), floor=None, max_levels=48):
     """Panel edges on [a, b], refined dyadically toward each point of `special`.
 
-    `floor` sets the smallest panel width produced next to a special point.
-    Special points outside (a, b) are ignored; ones hitting the ends grade
-    one-sidedly.
+    Next to a special point the widths are span 2^-k, k = 1..max_levels,
+    down to the first one below `floor`. Special points outside (a, b) are
+    ignored; ones hitting the ends grade one-sidedly. When a gap of a rule
+    exceeds span/8, each of its gaps is split into k = ceil(8 gap/span)
+    parts, with edges left + gap j/k, j = 1..k.
+
+    `special` may also be a 2-d array, one row of points per rule, with
+    `floor` one value or one per row; then all rules are graded at once and
+    the result is ``(rows, edges)``: every rule's edges in order, flattened
+    row after row, and the row of each edge.
     """
     if not b > a:
         raise ValueError("empty panel interval")
     span = b - a
-    if floor is None:
-        floor = 1e-15 * span
-    floor = max(floor, 1e-300)
-    edges = {a, b}
-    for s in special:
-        if s < a - 1e-15 * span or s > b + 1e-15 * span:
-            continue
-        s = min(max(s, a), b)
-        if a < s < b:
-            edges.add(s)
-        w = span
-        for _ in range(max_levels):
-            w *= 0.5
-            if w < floor:
-                break
-            lo, hi = s - w, s + w
-            if a < lo < b:
-                edges.add(lo)
-            if a < hi < b:
-                edges.add(hi)
-    out = np.array(sorted(edges))
+    points = np.asarray(special, dtype=float)
+    per_row = points.ndim == 2
+    if not per_row:
+        points = points[None, :]
+    nrow = points.shape[0]
+    floor = np.broadcast_to(1e-15 * span if floor is None else floor, (nrow,))
+    floor = np.maximum(floor, 1e-300)
+    widths = np.ldexp(span, -np.arange(1, max_levels + 1))
+    # the ladder stops at the first width below the floor
+    kept = np.logical_and.accumulate(~(widths[None, :] < floor[:, None]), axis=1)
+    s = np.clip(points, a, b)[..., None]
+    cand = np.concatenate([s, s - widths, s + widths], axis=-1)
+    use = ~((points < a - 1e-15 * span) | (points > b + 1e-15 * span))
+    level = np.concatenate([np.ones((nrow, 1), bool), kept, kept], axis=1)
+    keep = use[..., None] & level[:, None, :] & (a < cand) & (cand < b)
+    rows = np.concatenate([
+        np.broadcast_to(np.arange(nrow)[:, None, None], cand.shape)[keep],
+        np.arange(nrow), np.arange(nrow),
+    ])
+    edges = np.concatenate([cand[keep], np.full(nrow, a), np.full(nrow, b)])
+    rows, edges = row_union(rows, edges)
     # keep base resolution reasonable even with no special points nearby
-    widths = np.diff(out)
+    first = np.ones(rows.size, bool)
+    first[1:] = rows[1:] != rows[:-1]
+    gap = np.zeros(edges.size)
+    gap[1:] = edges[1:] - edges[:-1]
     cap = span / 8.0
-    if np.any(widths > cap):
-        refined = [out[0]]
-        for left, w in zip(out[:-1], widths):
-            k = int(np.ceil(w / cap))
-            for j in range(1, k + 1):
-                refined.append(left + w * j / k)
-        out = np.array(refined)
-    return out
+    redo = np.zeros(nrow, bool)
+    redo[rows[~first & (gap > cap)]] = True
+    split = redo[rows] & ~first
+    if split.any():
+        # the gap ending at an edge of a refined rule becomes k edges, the
+        # last one left + gap k/k, which need not be the edge itself
+        k = np.where(split, np.ceil(gap / cap), 1.0).astype(np.int64)
+        src = np.repeat(np.arange(edges.size), k)
+        j = np.arange(src.size) - np.repeat(np.cumsum(k) - k, k) + 1
+        left = edges[np.maximum(src - 1, 0)]
+        edges = np.where(split[src], left + gap[src] * j / k[src], edges[src])
+        rows = rows[src]
+    return (rows, edges) if per_row else edges
+
+
+def row_union(rows, edges):
+    """Each row's edges sorted and unique, rows in order: (rows, edges)."""
+    order = np.lexsort((edges, rows))
+    rows, edges = rows[order], edges[order]
+    new = np.ones(rows.size, bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (edges[1:] != edges[:-1])
+    return rows[new], edges[new]
+
+
+def gauss_panels(lo, hi, order=16):
+    """Gauss-Legendre nodes and weights on the panels [lo_i, hi_i], one row
+    of `order` each."""
+    base_x, base_w = _gl(order)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return mid[:, None] + half[:, None] * base_x[None, :], half[:, None] * base_w[None, :]
 
 
 def panel_nodes(edges, order=16):
     """Flattened Gauss-Legendre nodes and weights for the given panel edges."""
-    base_x, base_w = _gl(order)
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    w = (half[:, None] * base_w[None, :]).ravel()
-    return x, w
+    x, w = gauss_panels(edges[:-1], edges[1:], order)
+    return x.ravel(), w.ravel()

@@ -74,12 +74,17 @@ class TestGapProblem:
         outer = gap_probability(GapProblem(sine_kernel, (-0.4, 0.4))).raw_det
         assert inner >= outer
 
-    def test_clamping_preserves_raw_value(self):
+    def test_determinant_outside_unit_interval_raises(self):
         # negated kernel pushes the determinant above 1
+        with pytest.raises(NonConvergence, match=r"\[0\.0, 0\.5\] at m=16"):
+            gap_probability(GapProblem(lambda x, y: -sine_kernel(x, y), (0.0, 0.5)))
+
+    def test_clamping_within_tolerance(self):
+        # a determinant within the tolerance of [0, 1] is clamped into it
         res = gap_probability(
-            GapProblem(lambda x, y: -sine_kernel(x, y), (0.0, 0.5))
+            GapProblem(lambda x, y: -1e-10 * np.ones_like(x + y), (0.0, 1.0))
         )
-        assert res.raw_det > 1.0
+        assert 1.0 < res.raw_det <= 1.0 + 1e-8
         assert res.probability == 1.0
 
     def test_drifting_kernel_raises_nonconvergence(self):

@@ -1,0 +1,170 @@
+"""Graded panel rules built as arrays, against the point-by-point rules they
+replace: the same edges, nodes and weights bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+
+from dbmlab import freeconv
+from dbmlab.measures import MeasureSpec
+from dbmlab.panels import graded_edges, panel_nodes
+
+
+def loop_graded_edges(a, b, special=(), floor=None, max_levels=48):
+    """The ladder one special point at a time, in Python floats; also whether
+    the cap rebuilt the gaps."""
+    span = b - a
+    if floor is None:
+        floor = 1e-15 * span
+    floor = max(floor, 1e-300)
+    edges = {a, b}
+    for s in special:
+        if s < a - 1e-15 * span or s > b + 1e-15 * span:
+            continue
+        s = min(max(s, a), b)
+        if a < s < b:
+            edges.add(s)
+        w = span
+        for _ in range(max_levels):
+            w *= 0.5
+            if w < floor:
+                break
+            lo, hi = s - w, s + w
+            if a < lo < b:
+                edges.add(lo)
+            if a < hi < b:
+                edges.add(hi)
+    out = np.array(sorted(edges))
+    widths = np.diff(out)
+    cap = span / 8.0
+    rebuilt = bool(np.any(widths > cap))
+    if rebuilt:
+        refined = [out[0]]
+        for left, w in zip(out[:-1], widths):
+            k = int(np.ceil(w / cap))
+            for j in range(1, k + 1):
+                refined.append(left + w * j / k)
+        out = np.array(refined)
+    return out, rebuilt
+
+
+def loop_panel_rule(mu, x, y):
+    """The rule at x + iy point by point: each piece graded toward its kinks
+    and toward x, the two gradings joined."""
+    hull_lo, hull_hi = mu.hull()
+    span = max(hull_hi - hull_lo, 1e-12)
+    nodes, weights = [], []
+    for a, b in mu.support:
+        dist = max(abs(y), max(a - x, x - b, 0.0))
+        sharp, _ = loop_graded_edges(
+            a, b, [k for k in mu.kink_points() if a < k < b], 1e-13 * span
+        )
+        soft, _ = loop_graded_edges(
+            a, b, [min(max(x, a), b)], max(0.5 * dist, 1e-13 * span)
+        )
+        s, w = panel_nodes(np.union1d(sharp, soft))
+        nodes.append(s)
+        weights.append(w * mu.density(s))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def random_inputs(rng):
+    """(a, b, special, floor, max_levels) with specials inside, on and
+    beyond the ends, floors from the finest to ones that stop the ladder at
+    once, and a few short ladders."""
+    a = rng.uniform(-3.0, 1.0)
+    b = a + 10.0 ** rng.uniform(-4.0, 1.0)
+    span = b - a
+    special = list(rng.uniform(a - 0.3 * span, b + 0.3 * span, rng.integers(0, 4)))
+    if rng.random() < 0.3:
+        special.append(a)
+    if rng.random() < 0.3:
+        special.append(b)
+    if rng.random() < 0.1:
+        special.append(b + 0.5e-15 * span)
+    if a < 0.0 < b and rng.random() < 0.5:
+        # a kink at 0 and a point next to it: gaps between ladders of
+        # either sign are where left + (right - left) misses right
+        special += [0.0, span * rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-14.0, -2.0)]
+    floor = None if rng.random() < 0.2 else span * 10.0 ** rng.uniform(-14.0, 0.5)
+    levels = 48 if rng.random() < 0.8 else int(rng.integers(1, 10))
+    return a, b, special, floor, levels
+
+
+def test_graded_edges_match_the_loop_bitwise():
+    rng = np.random.default_rng(20260)
+    rebuilt = stopped = 0
+    for _ in range(400):
+        a, b, special, floor, levels = random_inputs(rng)
+        ref, redo = loop_graded_edges(a, b, special, floor, levels)
+        assert same_bits(graded_edges(a, b, special, floor, levels), ref)
+        rebuilt += redo
+        stopped += floor is not None and floor > (b - a) / 2.0
+    # the inputs reach the ladder's early stop and the cap rebuild alike
+    assert stopped > 10 and 100 < rebuilt < 390
+
+
+def test_graded_edges_rows_match_one_call_per_row():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        a, b, _, _, levels = random_inputs(rng)
+        span = b - a
+        anchors = np.concatenate([rng.uniform(a - 0.2 * span, b + 0.2 * span, 5), [a, b]])
+        floors = span * 10.0 ** rng.uniform(-14.0, 0.5, anchors.size)
+        rows, edges = graded_edges(a, b, anchors[:, None], floors, levels)
+        assert np.all(np.diff(rows) >= 0)
+        for r, (s, f) in enumerate(zip(anchors, floors)):
+            assert same_bits(edges[rows == r], loop_graded_edges(a, b, [s], f, levels)[0])
+
+
+def test_cap_rebuild_keeps_its_own_last_edge():
+    # with no special point every gap is rebuilt as left + w j / k, and the
+    # last edge a + (b - a) need not be b
+    a, b = -1.0, 0.1
+    ref, rebuilt = loop_graded_edges(a, b)
+    assert rebuilt and ref[-1] != b
+    assert same_bits(graded_edges(a, b), ref)
+
+
+def test_empty_interval_rejected():
+    with pytest.raises(ValueError):
+        graded_edges(1.0, 1.0)
+
+
+T = 0.2285
+BLOCK_MEASURES = {
+    "power 1/2": MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)),
+    "power 3/2": MeasureSpec.power(1.5, 0.2, (-1.0, 1.0)),
+    "two pieces": MeasureSpec.piecewise(
+        [((-1.0, -0.5), (1.0,)), ((0.5, 1.0), (0.0, 4.0 / 3.0))]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MEASURES))
+@pytest.mark.parametrize("y", [freeconv._Y_START * math.sqrt(T), 0.0, 0.3])
+def test_rule_block_matches_single_points_bitwise(name, y):
+    # so the block size cannot change a result, and each row is the rule the
+    # point-by-point construction gives
+    mu = BLOCK_MEASURES[name]
+    edges = [e for piece in mu.support for e in piece]
+    special = edges + list(mu.kink_points()) + [-1.7, 1.3, 2.5]
+    inner = np.random.default_rng(3).uniform(-1.0, 1.0, 32 - len(special))
+    xs = np.concatenate([special, inner])
+    assert xs.size == 32
+    nodes, weights = freeconv._rule_rows(mu, xs, y)
+    for row, x in enumerate(xs):
+        s, wd = freeconv._rule_rows(mu, np.array([x]), y)
+        ref_s, ref_wd = loop_panel_rule(mu, x, y)
+        assert same_bits(s[0], ref_s) and same_bits(wd[0], ref_wd)
+        count = s.shape[1]
+        assert same_bits(nodes[row, :count], s[0])
+        assert same_bits(weights[row, :count], wd[0])
+        assert np.all(nodes[row, count:] == x + 1.0)
+        assert np.all(weights[row, count:] == 0.0)
