@@ -6,7 +6,6 @@ gap probabilities."""
 __version__ = "0.1.0"
 
 from .measures import (  # noqa: F401
-    EmpiricalMeasure,
     InitialConfiguration,
     MeasureSpec,
     insert_gap,

@@ -161,6 +161,13 @@ def validate_config(tree: dict) -> None:
     for key in ("samples", "threads"):
         if key in tree and tree[key] < 1:
             raise ConfigError(f"'{key}' must be >= 1, got {tree[key]}")
+    if "t" in tree and not (math.isfinite(tree["t"]) and tree["t"] > 0.0):
+        raise ConfigError(f"'t' must be finite and > 0, got {tree['t']}")
+    if not all(math.isfinite(v) for v in tree.get("t_grid", ())):
+        raise ConfigError(f"'t_grid' entries must be finite, got {tree['t_grid']}")
+    eps = tree.get("window", {}).get("epsilon")
+    if eps is not None and not (math.isfinite(eps) and eps > 0.0):
+        raise ConfigError(f"'window.epsilon' must be finite and > 0, got {eps}")
 
 
 def _construct(make, *args):
@@ -199,10 +206,7 @@ def build_measure(tree: dict) -> MeasureSpec:
 def build_configuration(tree: dict) -> InitialConfiguration:
     gen = _require(tree, "generator")
     if gen == "explicit":
-        pts = _require(tree, "points")
-        if not pts:
-            raise ConfigError("explicit generator needs a nonempty 'points' list")
-        return _construct(InitialConfiguration.explicit, pts)
+        return _construct(InitialConfiguration.explicit, _require(tree, "points"))
     n = int(_require(tree, "n"))
     if gen == "quantiles":
         return _construct(InitialConfiguration.from_quantiles, build_measure(tree), n)
@@ -237,7 +241,7 @@ def build_frame(tree: dict, conf=None) -> RescaledKernelFrame:
     if "epsilon" in blk:
         window = gap_window(conf, t, x_star, float(blk["epsilon"]), u_grid=grid)
     else:
-        window = make_window(conf.empirical(), t, x_star, u_grid=grid)
+        window = make_window(conf, t, x_star, u_grid=grid)
     return RescaledKernelFrame(conf, t, window)
 
 
@@ -269,8 +273,6 @@ def _frame_gap_kernel(frame: RescaledKernelFrame):
 def cmd_density(tree: dict, out: Path) -> int:
     mu = build_measure(tree)
     t = float(_require(tree, "t"))
-    if t <= 0.0:
-        raise ConfigError(f"density command needs t > 0, got {t}")
     x_star = float(tree.get("window", {}).get("x_star", 0.0))
     state = FreeConvolutionState(mu, t)
     a, b = mu.hull()

@@ -9,21 +9,16 @@ well conditioned.  Nodes double until two successive determinants agree to
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NonConvergence
 from .kernel import KernelEvaluator, kernel_matrix, sine_kernel
+from .panels import panel_nodes
 
 _M_CAP = 512
 _ABS_TOL = 1e-8
-
-
-@functools.cache
-def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(m)
 
 
 class GapProblem:
@@ -66,10 +61,7 @@ class GapResult:
 
 
 def _determinant(problem: GapProblem, m: int) -> float:
-    a, b = problem.interval
-    nodes, weights = _leggauss(m)
-    xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    ws = 0.5 * (b - a) * weights
+    xs, ws = panel_nodes(np.array(problem.interval), m)
     km = problem._matrix(xs)
     sq = np.sqrt(ws)
     mat = np.eye(m) - sq[:, None] * km * sq[None, :]

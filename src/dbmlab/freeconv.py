@@ -33,7 +33,7 @@ from .errors import (
     OutsideDomain,
     PrincipalValueRequired,
 )
-from .measures import EmpiricalMeasure, InitialConfiguration, MeasureSpec
+from .measures import InitialConfiguration, MeasureSpec
 from .measures import _illinois, _shaped
 from .panels import gauss_panels, graded_edges, panel_nodes, row_union
 
@@ -61,18 +61,16 @@ _DIVERGENCE_THRESHOLD = 1e12  # partial integrals beyond this count as divergent
 
 
 def _as_measure(obj):
-    if isinstance(obj, (MeasureSpec, EmpiricalMeasure)):
+    if isinstance(obj, (MeasureSpec, InitialConfiguration)):
         return obj
-    if isinstance(obj, InitialConfiguration):
-        return obj.empirical()
     if isinstance(obj, (np.ndarray, list, tuple)):
-        return EmpiricalMeasure(np.asarray(obj, dtype=float))
+        return InitialConfiguration(obj)
     raise TypeError(f"not a measure: {type(obj).__name__}")
 
 
 def _atoms(mu):
-    """Atom locations of an empirical measure, else None."""
-    return mu.points if isinstance(mu, EmpiricalMeasure) else None
+    """Atom locations of a configuration's empirical measure, else None."""
+    return mu.points if isinstance(mu, InitialConfiguration) else None
 
 
 def _interval_distance(x, a, b):
@@ -218,44 +216,26 @@ def hilbert_transform(mu, x):
 # second moment integral and the critical time
 
 
-def _syndiv(coeffs, x):
-    """Divide an ascending-coefficient polynomial by (s - x).
-
-    Returns (quotient ascending, remainder); p(s) = q(s)(s-x) + r.
-    """
-    d = np.asarray(coeffs, dtype=float)[::-1]
-    if d.size <= 1:
-        return np.zeros(0), float(d[0]) if d.size else 0.0
-    q = np.empty(d.size - 1)
-    acc = d[0]
-    for i in range(1, d.size):
-        q[i - 1] = acc
-        acc = d[i] + acc * x
-    return q[::-1], float(acc)
-
-
 def _piecewise_second_moment(mu, x):
     from numpy.polynomial import polynomial as P
 
     total = 0.0
     for (a, b), coeffs in mu.params:
         co = np.asarray(coeffs, dtype=float)
-        q1, r0 = _syndiv(co, x)
-        q, r1 = _syndiv(q1, x) if q1.size else (np.zeros(0), 0.0)
+        # p(s) = (q(s) (s - x) + r1) (s - x) + r0
+        q1, r0 = P.polydiv(co, [-x, 1.0])
+        q, r1 = P.polydiv(q1, [-x, 1.0])
+        r0, r1 = float(r0[0]), float(r1[0])
         scale = max(float(np.max(np.abs(co))), 1e-300)
         scale *= max(1.0, abs(b - a), abs(x - a), abs(x - b)) ** max(co.size - 1, 0)
-        if a <= x <= b:
-            # on the piece the density must vanish to second order at x,
-            # else the integral diverges (one-sidedly at the ends)
-            if abs(r0) > 1e-12 * scale or abs(r1) > 1e-12 * scale:
-                return math.inf
-            if q.size:
-                anti = P.polyint(q)
-                total += float(P.polyval(b, anti) - P.polyval(a, anti))
-        else:
-            if q.size:
-                anti = P.polyint(q)
-                total += float(P.polyval(b, anti) - P.polyval(a, anti))
+        inside = a <= x <= b
+        # on the piece the density must vanish to second order at x, else
+        # the integral diverges (one-sidedly at the ends)
+        if inside and (abs(r0) > 1e-12 * scale or abs(r1) > 1e-12 * scale):
+            return math.inf
+        anti = P.polyint(q)
+        total += float(P.polyval(b, anti) - P.polyval(a, anti))
+        if not inside:
             total += r1 * math.log(abs((b - x) / (a - x)))
             total += r0 * (1.0 / (x - b) - 1.0 / (x - a))
     return total
@@ -464,7 +444,7 @@ class FreeConvolutionState:
     Every height y_t(x), at one point or along a profile, comes from one
     Newton solver (``_newton_heights``), and H along the graph from the
     same integrals: closed forms for the semicircle and uniform kinds,
-    sums over the atoms of empirical measures, and one graded panel rule
+    sums over the atoms of configurations, and one graded panel rule
     per point (a row of ``_rule_rows``), shared by y and G, for the other
     kinds.
     H is increasing along the graph, so the cached graph brackets every xi

@@ -25,7 +25,7 @@ from scipy.special import roots_hermite as sp_roots_hermite
 
 from .errors import ConfigError, NonConvergence
 from .freeconv import FreeConvolutionState, Window, window_scale
-from .measures import EmpiricalMeasure, _extract_points
+from .measures import _extract_points
 from .panels import panel_nodes
 
 # e^-60: below any tolerance this module promises, with margin for sums
@@ -59,9 +59,9 @@ def sine_kernel(u, v):
     return out
 
 
-def _split_duplicates(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Separate exactly coincident points symmetrically by a relative eps."""
-    pts = np.sort(points)
+def _split_duplicates(pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """Separate exactly coincident points of a sorted set symmetrically by a
+    relative eps."""
     if pts.size == 1 or np.all(np.diff(pts) > 0.0):
         return pts, 0.0
     spread = float(pts[-1] - pts[0])
@@ -88,10 +88,9 @@ class KernelEvaluator:
 
     def __init__(self, config, t, x0=0.0, m_nodes=64, m_max=4096):
         t = float(t)
-        if not t > 0.0:
-            raise ConfigError("t must be positive")
-        raw = _extract_points(config)
-        self.points, self.eps_split_applied = _split_duplicates(raw)
+        if not (math.isfinite(t) and t > 0.0):
+            raise ConfigError(f"t must be positive and finite, got {t}")
+        self.points, self.eps_split_applied = _split_duplicates(_extract_points(config))
         self.n = int(self.points.size)
         self.t = t
         self.x0 = float(x0)
@@ -367,13 +366,18 @@ class RescaledKernelFrame:
 
     def __init__(self, config, t, window: Window, dc_tol=1e-7, max_levels=8):
         self.t = float(t)
-        if not self.t > 0.0:
-            raise ConfigError("t must be positive")
+        if not (math.isfinite(self.t) and self.t > 0.0):
+            raise ConfigError(f"t must be positive and finite, got {self.t}")
+        if window.t != self.t:
+            raise ConfigError(
+                f"the window was built at t={window.t!r}, the frame is at t={self.t!r}"
+            )
+        # the state's measure is the configuration, raw points wrapped in one;
         # phi sums logs of |q - a|, so repeated points need no split
-        self.points = np.sort(_extract_points(config))
+        self.state = FreeConvolutionState(config, self.t)
+        self.points = _extract_points(self.state.mu)
         self.n = int(self.points.size)
         self.window = window
-        self.state = FreeConvolutionState(EmpiricalMeasure(self.points), self.t)
         self.h = window_scale(window, self.n)
         self.dc_tol = float(dc_tol)
         self.max_levels = int(max_levels)

@@ -7,6 +7,8 @@ times) is computed from closed-form antiderivatives where they exist.
 An InitialConfiguration is a finite sorted point set built by one of its
 deterministic generators (quantiles, equispaced, explicit, with a gap
 inserted), so the same generator arguments give bitwise the same points.
+It is also the empirical measure of its points, and the one type through
+which every point set enters the package.
 
 Total mass of every spec is validated to 1e-10 at construction time.
 """
@@ -319,14 +321,14 @@ def quantiles(mu, n, return_flags=False):
 
 def rigidity(points, mu):
     """n * max_k |a_k - q_k| against the quantiles of mu."""
-    pts = np.sort(np.asarray(points, dtype=float))
+    pts = _extract_points(points)
     q = quantiles(mu, pts.size)
     return float(pts.size * np.max(np.abs(pts - q)))
 
 
 def kolmogorov_distance(points, mu):
     """Exact sup |F_n - F|, evaluated at the step breakpoints."""
-    pts = np.sort(np.asarray(points, dtype=float))
+    pts = _extract_points(points)
     n = pts.size
     f = np.atleast_1d(mu.cdf(pts))
     k = np.arange(1, n + 1)
@@ -353,27 +355,28 @@ def insert_gap(points, x_star, half_width):
 
 
 def _extract_points(config) -> np.ndarray:
-    """The points of a configuration, an empirical measure or a 1-d array."""
-    pts = np.asarray(getattr(config, "points", config), dtype=float)
-    if pts.ndim != 1 or pts.size == 0:
-        raise ConfigError("configuration must be a non-empty 1-d point set")
-    return pts
+    """The points of a configuration, or of the one a raw point set makes."""
+    if isinstance(config, InitialConfiguration):
+        return config.points
+    return InitialConfiguration(config).points
 
 
 @dataclass(frozen=True, eq=False)
-class EmpiricalMeasure:
-    """Uniform atomic measure on a finite sorted point set."""
+class InitialConfiguration:
+    """Sorted, read-only, finite point set, and the uniform atomic measure on
+    it; the generators are deterministic."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.sort(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValueError("empirical measure needs at least one point")
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 1 or pts.size == 0:
+            raise ConfigError("configuration must be a non-empty 1-d point set")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+            raise ConfigError("configuration points must be finite")
+        pts = np.sort(pts)
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        self.points.setflags(write=False)
 
     @property
     def n(self):
@@ -386,24 +389,10 @@ class EmpiricalMeasure:
     def hull(self):
         return float(self.points[0]), float(self.points[-1])
 
-
-@dataclass(frozen=True, eq=False)
-class InitialConfiguration:
-    """Sorted, read-only point set; the generators are deterministic."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.sort(np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "points", pts)
-        self.points.setflags(write=False)
-
-    @property
-    def n(self):
-        return int(self.points.size)
-
     def empirical(self):
-        return EmpiricalMeasure(self.points)
+        """The configuration itself, which is its own empirical measure; kept
+        for callers that still ask for the measure by name."""
+        return self
 
     @staticmethod
     def from_quantiles(mu, n):
@@ -415,7 +404,7 @@ class InitialConfiguration:
 
     @staticmethod
     def explicit(points):
-        return InitialConfiguration(np.asarray(points, dtype=float))
+        return InitialConfiguration(points)
 
     def with_gap(self, x_star, half_width):
         return InitialConfiguration(insert_gap(self.points, x_star, half_width))

@@ -9,6 +9,7 @@ depend on worker count or evaluation order.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -98,8 +99,8 @@ def eigenvalues(y: np.ndarray) -> EigenSolveReport:
 
 def _time(t) -> float:
     t = float(t)
-    if t < 0.0:
-        raise ConfigError(f"time must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ConfigError(f"time must be finite and nonnegative, got {t}")
     return t
 
 
@@ -159,8 +160,8 @@ def dbm_paths(config, time_grid, sample_index: int, seed: int = 0) -> np.ndarray
     grid = np.asarray(time_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ConfigError("time grid must be a nonempty 1-d array")
-    if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise ConfigError("time grid must start at t >= 0 and increase strictly")
+    if not (np.all(np.isfinite(grid)) and grid[0] >= 0.0 and np.all(np.diff(grid) > 0.0)):
+        raise ConfigError("time grid must be finite, start at t >= 0 and increase strictly")
     sampler = GueSampler(pts.size, seed)
     y = np.diag(pts).astype(complex)
     rows = np.empty((grid.size, pts.size))

@@ -363,10 +363,19 @@ class TestExitCodes:
             ("density", "measure {\n kind = uniform\n a = 1\n b = -1\n}\nt = 0.5\n"),
             ("kernel", KERNEL_CONF.replace("n = 4", "n = 0")),
             ("density", "measure {\n kind = power\n exponent = -1\n}\nt = 0.5\n"),
+            ("kernel", KERNEL_CONF.replace("t = 0.5", "t = 0")),
+            ("kernel", KERNEL_CONF.replace("t = 0.5", "t = -0.5")),
+            ("gap", GAP_CONF.replace("epsilon = 0.03", "epsilon = 0")),
+            ("paths", "generator = explicit\npoints = 0, nan, 1\nt_grid = 0, 0.2\n"),
+            ("gap", "generator = explicit\npoints = -1, inf, 1\nt = 0.0009\n"
+                    "window {\n epsilon = 0.03\n}\n"),
+            ("paths", "generator = explicit\npoints = -1, 0, 1\nt_grid = 0, nan, 0.2\n"),
         ],
         ids=["samples-zero", "samples-negative", "threads-zero", "threads-negative",
              "kernel-threads-zero", "density-samples-zero",
-             "uniform-reversed", "quantiles-n-zero", "power-negative-exponent"],
+             "uniform-reversed", "quantiles-n-zero", "power-negative-exponent",
+             "kernel-t-zero", "kernel-t-negative", "gap-epsilon-zero",
+             "paths-nan-point", "gap-inf-point", "paths-nan-time"],
     )
     def test_invalid_value_exits_2(self, tmp_path, command, text):
         conf = write_conf(tmp_path, text)

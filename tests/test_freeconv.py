@@ -23,7 +23,6 @@ from dbmlab.freeconv import (
     y_t,
 )
 from dbmlab.measures import (
-    EmpiricalMeasure,
     InitialConfiguration,
     MeasureSpec,
     kolmogorov_distance,
@@ -36,7 +35,7 @@ SEMI = MeasureSpec.semicircle(1.0)
 # ---------------------------------------------------------------- stieltjes
 
 def test_stieltjes_two_atoms_at_i():
-    emp = EmpiricalMeasure(np.array([-1.0, 1.0]))
+    emp = InitialConfiguration(np.array([-1.0, 1.0]))
     val = stieltjes(emp, 1j)
     assert val == pytest.approx(-0.5j, abs=1e-15)
 
@@ -83,13 +82,13 @@ def test_stieltjes_on_support_requires_pv():
     with pytest.raises(PrincipalValueRequired):
         stieltjes(UNIFORM, 0.5)
     with pytest.raises(PrincipalValueRequired):
-        stieltjes(EmpiricalMeasure(np.array([0.0, 1.0])), 1.0)
+        stieltjes(InitialConfiguration(np.array([0.0, 1.0])), 1.0)
 
 
 def test_stieltjes_empirical_compensated_sum_scale():
     # 10^4 atoms; worst-case naive summation noise would exceed this bound
     pts = np.linspace(-1.0, 1.0, 10_000)
-    val = stieltjes(EmpiricalMeasure(pts), 2.0)
+    val = stieltjes(InitialConfiguration(pts), 2.0)
     exact = np.sum(1.0 / (2.0 - pts)) / pts.size
     assert val == pytest.approx(exact, abs=1e-13)
 
@@ -125,7 +124,7 @@ def test_hilbert_piecewise_excision_matches_log_ratio():
 
 
 def test_hilbert_empirical_off_atoms():
-    emp = EmpiricalMeasure(np.array([-1.0, 1.0]))
+    emp = InitialConfiguration(np.array([-1.0, 1.0]))
     assert hilbert_transform(emp, 0.5) == pytest.approx(
         0.5 * (1.0 / 1.5 + 1.0 / (-0.5)), abs=1e-14
     )
@@ -177,7 +176,7 @@ def test_y_t_semicircle_closed_form():
 
 
 def test_y_t_single_atom():
-    emp = EmpiricalMeasure(np.array([0.0]))
+    emp = InitialConfiguration(np.array([0.0]))
     assert y_t(emp, 1.0, 0.0) == pytest.approx(1.0, abs=1e-10)
     # off the atom: 1/((x)^2+y^2) = 1 at x=0.6 -> y = 0.8
     assert y_t(emp, 1.0, 0.6) == pytest.approx(0.8, abs=1e-10)
@@ -238,7 +237,7 @@ def _atomic_case(points, t):
     def lorentz(x, y):
         return float(np.mean(1.0 / ((x - pts) ** 2 + y * y)))
 
-    return EmpiricalMeasure(pts), t, xs, lorentz
+    return InitialConfiguration(pts), t, xs, lorentz
 
 
 def _closed_case(mu, t, xs):
@@ -299,12 +298,12 @@ def test_y_profile_matches_bisection(case):
 # ---------------------------------------------------------------- maps
 
 def test_H_map_single_atom():
-    emp = EmpiricalMeasure(np.array([0.0]))
+    emp = InitialConfiguration(np.array([0.0]))
     assert H_map(emp, 1.0, 1j) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_H_map_outside_domain():
-    emp = EmpiricalMeasure(np.array([0.0]))
+    emp = InitialConfiguration(np.array([0.0]))
     with pytest.raises(OutsideDomain):
         H_map(emp, 1.0, 0.5j)  # graph height at 0 is 1
 
@@ -451,7 +450,7 @@ def test_window_consistency_with_psi():
 
 
 def test_bulk_window_rejected_in_gap():
-    emp = EmpiricalMeasure(np.array([-2.0, -1.5, 1.5, 2.0]))
+    emp = InitialConfiguration(np.array([-2.0, -1.5, 1.5, 2.0]))
     with pytest.raises(OutsideDomain):
         make_window(emp, 0.01, 0.0)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dbmlab import kernel
-from dbmlab.errors import NonConvergence
+from dbmlab.errors import ConfigError, NonConvergence
 from dbmlab.freeconv import (
     FreeConvolutionState,
     gap_window,
@@ -167,6 +167,20 @@ class TestDuplicateSplitting:
         ev = KernelEvaluator(pts, 0.5)
         assert ev.eps_split_applied == 0.0
         assert np.allclose(ev.points, pts)
+
+
+class TestTimeChecks:
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -0.5])
+    def test_evaluator_rejects_bad_time(self, t):
+        with pytest.raises(ConfigError):
+            KernelEvaluator(InitialConfiguration.explicit([-1.0, 1.0]), t)
+
+    def test_frame_rejects_window_at_another_time(self):
+        # read on a window built at another t, the frame's values are wrong
+        cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), 20)
+        window = make_window(cfg, 0.5, 0.0)
+        with pytest.raises(ConfigError, match=r"t=0\.5.*t=0\.25"):
+            RescaledKernelFrame(cfg, 0.25, window)
 
 
 class TestGauge:

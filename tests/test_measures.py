@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dbmlab
+from dbmlab.errors import ConfigError
 from dbmlab.measures import (
-    EmpiricalMeasure,
     InitialConfiguration,
     MeasureSpec,
     insert_gap,
@@ -281,8 +281,40 @@ def test_configuration_explicit_roundtrip_json():
     assert np.array_equal(cfg.points, cfg2.points)
 
 
+BAD_POINT_SETS = {
+    "empty": [],
+    "nan": [0.0, math.nan],
+    "inf": [math.inf],
+    "2-d": np.zeros((2, 2)),
+}
+_WINDOW = dbmlab.make_window(MeasureSpec.uniform(-1.0, 1.0), 0.5, 0.0)
+POINT_ENTRIES = {
+    "explicit": InitialConfiguration.explicit,
+    "KernelEvaluator": lambda p: dbmlab.KernelEvaluator(p, 0.5),
+    "RescaledKernelFrame": lambda p: dbmlab.RescaledKernelFrame(p, 0.5, _WINDOW),
+    "FreeConvolutionState": lambda p: dbmlab.FreeConvolutionState(p, 0.5),
+    "sample_spectra": lambda p: dbmlab.sample_spectra(p, 0.5, 4, threads=1),
+    "dbm_paths": lambda p: dbmlab.dbm_paths(p, [0.0, 0.5], 0),
+    "rigidity": lambda p: rigidity(p, MeasureSpec.uniform(-1.0, 1.0)),
+    "kolmogorov_distance": lambda p: kolmogorov_distance(p, MeasureSpec.uniform(-1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("points", BAD_POINT_SETS.values(), ids=BAD_POINT_SETS)
+@pytest.mark.parametrize("enter", POINT_ENTRIES.values(), ids=POINT_ENTRIES)
+def test_bad_point_set_rejected_where_it_enters(enter, points, monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve reached with a bad point set")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+    with pytest.raises(ConfigError):
+        enter(points)
+
+
 def test_empirical_measure_sorted_and_cdf():
-    emp = EmpiricalMeasure(np.array([0.5, -0.5]))
+    emp = InitialConfiguration(np.array([0.5, -0.5]))
+    assert emp.empirical() is emp
+    assert not emp.points.flags.writeable
     assert np.all(np.diff(emp.points) >= 0)
     assert emp.cdf(0.0) == pytest.approx(0.5)
     assert emp.cdf(-1.0) == 0.0
@@ -291,7 +323,7 @@ def test_empirical_measure_sorted_and_cdf():
 
 def test_scalar_in_float_out_array_keeps_shape():
     mu = MeasureSpec.semicircle(1.0)
-    emp = EmpiricalMeasure(np.array([0.5, -0.5]))
+    emp = InitialConfiguration(np.array([0.5, -0.5]))
     grid = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
     for f in (mu.density, mu.cdf, emp.cdf):
         assert type(f(0.25)) is float

@@ -8,6 +8,7 @@ kernel route is independent of the sampler.
 """
 
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -95,6 +96,13 @@ class TestSamplePerturbed:
         out = sample_perturbed(cfg, 0.0, 0)
         assert np.array_equal(out, np.sort(np.asarray(cfg.points)))
 
+    def test_raw_points_are_sorted_on_the_way_in(self):
+        raw = [0.4, -1.2, 0.9]
+        cfg = InitialConfiguration.explicit(raw)
+        assert np.array_equal(
+            sample_perturbed(raw, 0.5, 3, seed=9), sample_perturbed(cfg, 0.5, 3, seed=9)
+        )
+
     def test_bit_reproducible(self):
         cfg = InitialConfiguration.equispaced(-1.0, 1.0, 8)
         a = sample_perturbed(cfg, 0.5, 3, seed=9)
@@ -181,6 +189,12 @@ class TestPaths:
             dbm_paths(cfg, [0.0, 0.5, 0.4], 0)
         with pytest.raises(ConfigError):
             dbm_paths(cfg, [-0.1, 0.5], 0)
+
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, 0.2], [0.0, 0.2, math.inf]])
+    def test_nonfinite_grid_rejected(self, grid):
+        # a NaN step compares false against 0 and would be skipped silently
+        with pytest.raises(ConfigError):
+            dbm_paths(InitialConfiguration.explicit([-1.0, 0.0, 1.0]), grid, 0)
 
     def test_csv_header_and_formatting(self):
         cfg = InitialConfiguration.explicit([-0.5, 0.5])
@@ -274,3 +288,11 @@ class TestErrors:
         cfg = InitialConfiguration.explicit([0.0])
         with pytest.raises(ConfigError):
             sample_perturbed(cfg, -0.1, 0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, t):
+        cfg = InitialConfiguration.explicit([0.0, 1.0])
+        with pytest.raises(ConfigError):
+            sample_spectra(cfg, t, 2, threads=1)
+        with pytest.raises(ConfigError):
+            sample_perturbed(cfg, t, 0)
