@@ -46,56 +46,73 @@ _FMT = "%.17g"
 #   key = v1, v2, v3       lists (schema decides element type; empty allowed)
 #   block { ... }          one level of nesting
 #   # comment to end of line
+#
+# A numeric key is (type, range) and a list key ([type], range), the range
+# holding for every element; text keys are bare str.
+
+_RANGES = {
+    "finite": math.isfinite,
+    "finite and > 0": lambda v: 0 < v < math.inf,
+    "finite and >= 0": lambda v: 0 <= v < math.inf,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+}
 
 _MEASURE_KEYS = {
     "kind": str,
-    "variance": float,
-    "a": float,
-    "b": float,
-    "exponent": float,
-    "center": float,
+    "variance": (float, "finite and > 0"),
+    "a": (float, "finite"),
+    "b": (float, "finite"),
+    "exponent": (float, "finite and > 0"),
+    "center": (float, "finite"),
 }
-_WINDOW_KEYS = {"x_star": float, "extent": float, "step": float, "epsilon": float}
+_WINDOW_KEYS = {
+    "x_star": (float, "finite"),
+    "extent": (float, "finite and > 0"),
+    "step": (float, "finite and > 0"),
+    "epsilon": (float, "finite and > 0"),
+}
 _SCHEMA = {
     "measure": _MEASURE_KEYS,
     "window": _WINDOW_KEYS,
-    "n": int,
+    "n": (int, ">= 1"),
     "generator": str,
-    "points": (float,),
-    "gap_center": float,
-    "gap_half_width": float,
-    "t": float,
-    "t_grid": (float,),
-    "n_grid": (int,),
-    "seed": int,
-    "samples": int,
-    "sample_index": int,
-    "threads": int,
+    "points": ([float], "finite"),
+    "gap_center": (float, "finite"),
+    "gap_half_width": (float, "finite and > 0"),
+    "t": (float, "finite and > 0"),
+    "t_grid": ([float], "finite and >= 0"),
+    "n_grid": ([int], ">= 1"),
+    "seed": (int, ">= 0"),
+    "samples": (int, ">= 1"),
+    "sample_index": (int, ">= 0"),
+    "threads": (int, ">= 1"),
     "out": str,
 }
 
 
-def _coerce_scalar(token: str, kind, key: str):
+def _coerce_scalar(token: str, kind, rule: str, key: str):
     token = token.strip()
-    if kind is str:
-        return token
     try:
-        if kind is int:
-            return int(token, 0)
-        return float(token)
+        value = int(token, 0) if kind is int else float(token)
     except ValueError:
         raise ConfigError(f"key '{key}' expects {kind.__name__}, got {token!r}")
+    if not _RANGES[rule](value):
+        raise ConfigError(f"'{key}' must be {rule}, got {value}")
+    return value
 
 
-def _coerce(raw: str, kind, key: str):
-    if isinstance(kind, tuple):
+def _coerce(raw: str, spec, key: str):
+    if spec is not str and isinstance(spec[0], list):
         raw = raw.strip()
         if not raw:
             return []
-        return [_coerce_scalar(p, kind[0], key) for p in raw.split(",")]
+        return [_coerce_scalar(p, spec[0][0], spec[1], key) for p in raw.split(",")]
     if "," in raw:
         raise ConfigError(f"key '{key}' expects a scalar, got a list")
-    return _coerce_scalar(raw, kind, key)
+    if spec is str:
+        return raw.strip()
+    return _coerce_scalar(raw, *spec, key)
 
 
 def parse_config_text(text: str) -> dict:
@@ -132,9 +149,12 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key '{key}' at {where}")
         if key in target:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        target[key] = _coerce(raw, scope[key], key)
+        name = key if block is None else f"{block}.{key}"
+        target[key] = _coerce(raw, scope[key], name)
     if block is not None:
         raise ConfigError(f"unterminated block '{block}'")
+    if "t" in tree and "t_grid" in tree:
+        raise ConfigError("give either 't' or 't_grid', not both")
     return tree
 
 
@@ -154,44 +174,19 @@ def _require(tree: dict, key):
     return tree[key]
 
 
-def validate_config(tree: dict) -> None:
-    """Value checks the schema cannot express, made before any work."""
-    if "t" in tree and "t_grid" in tree:
-        raise ConfigError("give either 't' or 't_grid', not both")
-    for key in ("samples", "threads"):
-        if key in tree and tree[key] < 1:
-            raise ConfigError(f"'{key}' must be >= 1, got {tree[key]}")
-    if "t" in tree and not (math.isfinite(tree["t"]) and tree["t"] > 0.0):
-        raise ConfigError(f"'t' must be finite and > 0, got {tree['t']}")
-    if not all(math.isfinite(v) for v in tree.get("t_grid", ())):
-        raise ConfigError(f"'t_grid' entries must be finite, got {tree['t_grid']}")
-    eps = tree.get("window", {}).get("epsilon")
-    if eps is not None and not (math.isfinite(eps) and eps > 0.0):
-        raise ConfigError(f"'window.epsilon' must be finite and > 0, got {eps}")
-
-
-def _construct(make, *args):
-    """make(*args), with the ValueError of a bad config value as a ConfigError."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
-
-
 def build_measure(tree: dict) -> MeasureSpec:
     blk = dict(tree.get("measure", {}))
     if not blk:
         raise ConfigError("config block 'measure' is required for this command")
     kind = blk.pop("kind", None)
     if kind == "semicircle":
-        mu = _construct(MeasureSpec.semicircle, blk.pop("variance", 1.0))
+        mu = MeasureSpec.semicircle(blk.pop("variance", 1.0))
     elif kind == "uniform":
-        mu = _construct(MeasureSpec.uniform, blk.pop("a", -1.0), blk.pop("b", 1.0))
+        mu = MeasureSpec.uniform(blk.pop("a", -1.0), blk.pop("b", 1.0))
     elif kind == "power":
         if "exponent" not in blk:
             raise ConfigError("power measure needs 'exponent'")
-        mu = _construct(
-            MeasureSpec.power,
+        mu = MeasureSpec.power(
             blk.pop("exponent"),
             blk.pop("center", 0.0),
             (blk.pop("a", -1.0), blk.pop("b", 1.0)),
@@ -206,18 +201,18 @@ def build_measure(tree: dict) -> MeasureSpec:
 def build_configuration(tree: dict) -> InitialConfiguration:
     gen = _require(tree, "generator")
     if gen == "explicit":
-        return _construct(InitialConfiguration.explicit, _require(tree, "points"))
+        return InitialConfiguration.explicit(_require(tree, "points"))
     n = int(_require(tree, "n"))
     if gen == "quantiles":
-        return _construct(InitialConfiguration.from_quantiles, build_measure(tree), n)
+        return InitialConfiguration.from_quantiles(build_measure(tree), n)
     if gen in ("equispaced", "equispaced_gap"):
         a, b = build_measure(tree).hull()
-        conf = _construct(InitialConfiguration.equispaced, a, b, n)
+        conf = InitialConfiguration.equispaced(a, b, n)
         if gen == "equispaced_gap":
             if "gap_half_width" not in tree:
                 raise ConfigError("equispaced_gap needs 'gap_half_width'")
             center = float(tree.get("gap_center", 0.0))
-            conf = _construct(conf.with_gap, center, float(tree["gap_half_width"]))
+            conf = conf.with_gap(center, float(tree["gap_half_width"]))
         return conf
     raise ConfigError(f"unknown generator {gen!r}")
 
@@ -226,8 +221,6 @@ def _u_grid(tree: dict) -> np.ndarray:
     blk = tree.get("window", {})
     extent = float(blk.get("extent", 2.0))
     step = float(blk.get("step", 0.25))
-    if extent <= 0.0 or step <= 0.0:
-        raise ConfigError("window extent and step must be positive")
     k = int(round(extent / step))
     return np.arange(-k, k + 1) * step
 
@@ -441,13 +434,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         tree = load_config(args.config)
-        if args.seed is not None:
-            tree["seed"] = int(args.seed)
-        if args.threads is not None:
-            tree["threads"] = int(args.threads)
+        for key in ("seed", "threads"):
+            if getattr(args, key) is not None:
+                tree[key] = _coerce(str(getattr(args, key)), _SCHEMA[key], key)
         if args.out is not None:
             tree["out"] = str(args.out)
-        validate_config(tree)
         return _COMMANDS[args.command](tree, Path(tree.get("out", "dbmlab_out")))
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ with 2, numerical non-convergence with 3.
 
 
 class ConfigError(ValueError):
-    """A run configuration failed schema validation."""
+    """A value handed to dbmlab, from a config or a call, lies outside its domain."""
 
 
 class PrincipalValueRequired(ValueError):

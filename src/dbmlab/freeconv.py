@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     BracketingError,
+    ConfigError,
     NonConvergence,
     OutsideDomain,
     PrincipalValueRequired,
@@ -245,6 +246,8 @@ def second_moment_integral(mu, x):
     """int dmu(s)/(x - s)^2, with exact divergence detection (may be inf)."""
     mu = _as_measure(mu)
     x = float(x)
+    if not math.isfinite(x):
+        raise ConfigError(f"x must be finite, got {x}")
     pts = _atoms(mu)
     if pts is not None:
         diffs = x - pts
@@ -289,7 +292,10 @@ def t_critical(mu, x_star):
 # subordination height
 
 
-def _chunked_rows(n, budget=4_000_000):
+def _chunked_rows(n, budget=1 << 17):
+    """Rows per block of an n-column temporary: 1 MB blocks of float64.  Larger
+    temporaries, of a size that changes as Newton's active set shrinks, stay
+    resident on the malloc heap."""
     return max(1, budget // max(n, 1))
 
 
@@ -297,9 +303,7 @@ def _node_lorentz_sums(nodes, weights, xs, big_y):
     """L = sum w / ((x - s)^2 + Y) and M = -dL/dY = sum w / ((x - s)^2 + Y)^2."""
     lsum = np.empty(xs.size)
     msum = np.empty(xs.size)
-    # 1 MB blocks: Newton's active set shrinks every step, and larger
-    # temporaries of changing size stay resident on the malloc heap
-    block = _chunked_rows(nodes.size, budget=1 << 17)
+    block = _chunked_rows(nodes.size)
     for i in range(0, xs.size, block):
         sl = slice(i, i + block)
         inv = 1.0 / ((xs[sl, None] - nodes[None, :]) ** 2 + big_y[sl, None])
@@ -456,7 +460,7 @@ class FreeConvolutionState:
         self.mu = _as_measure(mu)
         self.t = float(t)
         if not (math.isfinite(self.t) and self.t > 0.0):
-            raise ValueError("t must be positive and finite")
+            raise ConfigError("t must be positive and finite")
         self.sqrt_t = math.sqrt(self.t)
         self._graph = None
 
@@ -742,8 +746,8 @@ def make_window(mu, t, x_star, u_grid=None):
 def gap_window(config, t, x_star, epsilon, u_grid=None):
     """Gap window: x* must carry no local density at time t."""
     epsilon = float(epsilon)
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ConfigError("epsilon must be positive and finite")
     return _window(FreeConvolutionState(config, t), x_star, epsilon, u_grid)
 
 

@@ -21,7 +21,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import roots_hermite as sp_roots_hermite
 
 from .errors import ConfigError, NonConvergence
 from .freeconv import FreeConvolutionState, Window, window_scale
@@ -46,8 +45,11 @@ def _x_blocks(size: int, bytes_per_x: int) -> list[slice]:
 
 @functools.cache
 def _hermgauss(m: int):
-    # numpy's hermgauss overflows above a few hundred nodes
-    return sp_roots_hermite(m)
+    # numpy's hermgauss overflows above a few hundred nodes; scipy.special,
+    # most of the cost of importing dbmlab, loads on the first call instead
+    from scipy.special import roots_hermite
+
+    return roots_hermite(m)
 
 
 def sine_kernel(u, v):

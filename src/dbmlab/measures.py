@@ -91,8 +91,8 @@ class MeasureSpec:
     def semicircle(variance):
         """Semicircular density sqrt(4 v - x^2) / (2 pi v) on [-2 sqrt v, 2 sqrt v]."""
         v = float(variance)
-        if not v > 0.0:
-            raise ValueError("semicircle variance must be positive")
+        if not 0.0 < v < math.inf:
+            raise ConfigError("semicircle variance must be positive and finite")
         edge = 2.0 * math.sqrt(v)
         return MeasureSpec("semicircle", (v,), ((-edge, edge),))
 
@@ -102,12 +102,12 @@ class MeasureSpec:
         kappa = float(exponent)
         c = float(center)
         a, b = float(support[0]), float(support[1])
-        if not kappa > 0.0:
-            raise ValueError("power exponent must be positive")
-        if not a < b:
-            raise ValueError("power support must be a nondegenerate interval")
+        if not 0.0 < kappa < math.inf:
+            raise ConfigError("power exponent must be positive and finite")
+        if not -math.inf < a < b < math.inf:
+            raise ConfigError("power support must be a finite nondegenerate interval")
         if not (a <= c <= b):
-            raise ValueError("power center must lie inside the support")
+            raise ConfigError("power center must lie inside the support")
         raw = (_signed_pow(b - c, kappa + 1.0) - _signed_pow(a - c, kappa + 1.0)) / (
             kappa + 1.0
         )
@@ -119,8 +119,8 @@ class MeasureSpec:
     @staticmethod
     def uniform(a, b):
         a, b = float(a), float(b)
-        if not a < b:
-            raise ValueError("uniform support must be a nondegenerate interval")
+        if not -math.inf < a < b < math.inf:
+            raise ConfigError("uniform support must be a finite nondegenerate interval")
         return MeasureSpec("uniform", (), ((a, b),))
 
     @staticmethod
@@ -133,14 +133,14 @@ class MeasureSpec:
         """
         norm = []
         for (a, b), coeffs in pieces:
-            a, b = float(a), float(b)
-            if not a < b:
-                raise ValueError("piecewise piece must have a < b")
-            norm.append(((a, b), tuple(float(c) for c in coeffs)))
+            a, b, coeffs = float(a), float(b), tuple(float(c) for c in coeffs)
+            if not (-math.inf < a < b < math.inf and all(map(math.isfinite, coeffs))):
+                raise ConfigError("piecewise piece needs finite a < b and coefficients")
+            norm.append(((a, b), coeffs))
         norm.sort(key=lambda p: p[0][0])
         for left, right in zip(norm[:-1], norm[1:]):
             if left[0][1] > right[0][0] + 1e-15:
-                raise ValueError("piecewise pieces overlap")
+                raise ConfigError("piecewise pieces overlap")
         spec = MeasureSpec(
             "piecewise", tuple(norm), tuple(interval for interval, _ in norm)
         )
@@ -245,16 +245,16 @@ def _signed_pow(u, p):
 def _validate_mass(spec):
     lo, hi = spec.hull()
     total = float(spec.cdf(hi))
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValueError(f"measure mass is {total!r}, expected 1 within {MASS_TOL}")
+    if not abs(total - 1.0) <= MASS_TOL:
+        raise ConfigError(f"measure mass is {total!r}, expected 1 within {MASS_TOL}")
     # independent numeric verification on graded panels
     numeric = 0.0
     for a, b in spec.support:
         edges = graded_edges(a, b, special=(a, b) + spec.kink_points(), floor=1e-13 * (b - a))
         x, w = panel_nodes(edges)
         numeric += float(np.dot(w, spec.density(x)))
-    if abs(numeric - 1.0) > 1e-7:
-        raise ValueError("numeric mass check failed; density and cdf disagree")
+    if not abs(numeric - 1.0) <= 1e-7:
+        raise ConfigError("numeric mass check failed; density and cdf disagree")
 
 
 def _validate_nonnegative(spec):
@@ -262,7 +262,7 @@ def _validate_nonnegative(spec):
         xs = np.linspace(a, b, 257)
         vals = np.polynomial.polynomial.polyval(xs, coeffs)
         if np.min(vals) < -1e-12:
-            raise ValueError("piecewise density is negative on its support")
+            raise ConfigError("piecewise density is negative on its support")
 
 
 # ---------------------------------------------------------------- quantiles
@@ -280,7 +280,7 @@ def quantiles(mu, n, return_flags=False):
         raise TypeError("quantiles requires a MeasureSpec")
     n = int(n)
     if n < 1:
-        raise ValueError("need at least one quantile")
+        raise ConfigError("need at least one quantile")
     levels = (np.arange(1, n + 1) - 0.5) / n
     xa, xb, c_lo, c_hi = mu.mass_pieces()
     i = np.minimum(np.searchsorted(c_hi, levels), c_hi.size - 1)
@@ -342,7 +342,7 @@ def insert_gap(points, x_star, half_width):
     are preserved (projection is monotone).
     """
     if not half_width > 0.0:
-        raise ValueError("gap half-width must be positive")
+        raise ConfigError("gap half-width must be positive")
     pts = np.asarray(points, dtype=float).copy()
     left = x_star - half_width
     right = x_star + half_width

@@ -29,12 +29,17 @@ class GueSampler:
     def __init__(self, n: int, seed: int = 0):
         if n < 1:
             raise ConfigError(f"dimension must be positive, got {n}")
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
         self.n = int(n)
         self.seed = int(seed)
         self.upper = np.triu_indices(self.n, 1)
         self.diag = np.diag_indices(self.n)
 
-    def _generator(self, counter: int) -> np.random.Generator:
+    def _generator(self, sample_index: int, sub: int) -> np.random.Generator:
+        if sample_index < 0:
+            raise ConfigError(f"sample index must be nonnegative, got {sample_index}")
+        counter = (int(sample_index) << 64) | (int(sub) << 32)
         return np.random.Generator(np.random.Philox(key=self.seed, counter=counter))
 
     def matrix(self, sample_index: int, _sub: int = 0) -> np.ndarray:
@@ -42,7 +47,7 @@ class GueSampler:
         # taken in one call from the same stream
         n = self.n
         k = n * (n - 1) // 2
-        gen = self._generator((int(sample_index) << 64) | (int(_sub) << 32))
+        gen = self._generator(sample_index, _sub)
         z = gen.standard_normal(n + 2 * k)
         h = np.zeros((n, n), dtype=complex)
         h[self.upper] = (z[n : n + k] + 1j * z[n + k :]) / np.sqrt(2.0 * n)
@@ -195,16 +200,6 @@ class DensityHistogram:
         """Per-eigenvalue probability density (integrates to at most 1)."""
         total = self.n_samples * self.matrix_dim
         return self.counts / (total * np.diff(self.edges))
-
-    def to_json(self) -> dict:
-        total = self.n_samples * self.matrix_dim
-        p = self.counts / total
-        se = np.sqrt(p * (1.0 - p) * total)
-        return {
-            "bins": [float(e) for e in self.edges],
-            "counts": [int(c) for c in self.counts],
-            "stderr": [float(s) for s in se],
-        }
 
 
 def empirical_density(samples: np.ndarray, bin_edges) -> DensityHistogram:

@@ -44,6 +44,11 @@ window {
 """
 
 
+UNIFORM_DENSITY_CONF = "measure {\n kind = uniform\n}\nt = 0.5\n"
+
+PATHS_CONF = "generator = explicit\npoints = -1, 0, 1\nt_grid = 0, 0.2\n"
+
+
 def write_conf(tmp_path, text, name="run.conf"):
     p = tmp_path / name
     p.write_text(text)
@@ -370,12 +375,22 @@ class TestExitCodes:
             ("gap", "generator = explicit\npoints = -1, inf, 1\nt = 0.0009\n"
                     "window {\n epsilon = 0.03\n}\n"),
             ("paths", "generator = explicit\npoints = -1, 0, 1\nt_grid = 0, nan, 0.2\n"),
+            ("density", UNIFORM_DENSITY_CONF + "window {\n x_star = nan\n}\n"),
+            ("density", UNIFORM_DENSITY_CONF + "window {\n x_star = 1e400\n}\n"),
+            ("density", "measure {\n kind = semicircle\n variance = inf\n}\nt = 0.5\n"),
+            ("kernel", KERNEL_CONF.replace("b = 1", "b = inf")),
+            ("kernel", KERNEL_CONF.replace("extent = 1", "extent = inf")),
+            ("paths", PATHS_CONF + "seed = -1\n"),
+            ("paths", PATHS_CONF + "sample_index = -1\n"),
         ],
         ids=["samples-zero", "samples-negative", "threads-zero", "threads-negative",
              "kernel-threads-zero", "density-samples-zero",
              "uniform-reversed", "quantiles-n-zero", "power-negative-exponent",
              "kernel-t-zero", "kernel-t-negative", "gap-epsilon-zero",
-             "paths-nan-point", "gap-inf-point", "paths-nan-time"],
+             "paths-nan-point", "gap-inf-point", "paths-nan-time",
+             "density-x-star-nan", "density-x-star-overflow",
+             "semicircle-variance-inf", "quantiles-b-inf", "kernel-extent-inf",
+             "paths-seed-negative", "paths-sample-index-negative"],
     )
     def test_invalid_value_exits_2(self, tmp_path, command, text):
         conf = write_conf(tmp_path, text)
@@ -387,6 +402,13 @@ class TestExitCodes:
         conf = write_conf(tmp_path, KERNEL_CONF)
         out = tmp_path / "o"
         rc = cli.main(["kernel", "--config", str(conf), "--out", str(out), "--threads", "0"])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_seed_flag_negative_exits_2(self, tmp_path):
+        conf = write_conf(tmp_path, PATHS_CONF)
+        out = tmp_path / "o"
+        rc = cli.main(["paths", "--config", str(conf), "--out", str(out), "--seed", "-1"])
         assert rc == 2
         assert not out.exists()
 

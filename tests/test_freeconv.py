@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbmlab import freeconv
-from dbmlab.errors import OutsideDomain, PrincipalValueRequired
+from dbmlab.errors import ConfigError, OutsideDomain, PrincipalValueRequired
 from dbmlab.freeconv import (
     FreeConvolutionState,
     Window,
@@ -143,6 +143,15 @@ def test_t_critical_uniform():
     assert t_critical(UNIFORM, 2.0) == pytest.approx(3.0, abs=1e-8)
     assert t_critical(UNIFORM, 0.0) == 0.0
     assert t_critical(UNIFORM, 1.0) == 0.0  # endpoint, one-sided divergence
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_t_critical_nonfinite_point_rejected(x):
+    # a NaN x* compared false everywhere and read as a critical time of 0
+    with pytest.raises(ConfigError):
+        t_critical(UNIFORM, x)
+    with pytest.raises(ConfigError):
+        second_moment_integral(InitialConfiguration.explicit([-1.0, 1.0]), x)
 
 
 def test_t_critical_power_quadratic_center():

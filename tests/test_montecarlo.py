@@ -232,9 +232,7 @@ class TestEstimators:
     def test_density_histogram_payload(self):
         samples = np.array([[0.05, 0.55], [0.15, 0.45]])
         hist = empirical_density(samples, np.linspace(0.0, 0.6, 4))
-        payload = hist.to_json()
-        assert set(payload) == {"bins", "counts", "stderr"}
-        assert payload["counts"] == [2, 0, 2]
+        assert hist.counts.tolist() == [2, 0, 2]
         dens = hist.density()
         assert dens[0] == pytest.approx(2 / (4 * 0.2))
 
@@ -284,6 +282,23 @@ class TestEstimators:
 
 
 class TestErrors:
+    @pytest.fixture
+    def no_eigensolve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigensolve reached with a bad seed or index")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+
+    def test_negative_seed_rejected(self, no_eigensolve):
+        cfg = InitialConfiguration.explicit([-1.0, 0.0, 1.0])
+        with pytest.raises(ConfigError):
+            sample_spectra(cfg, 0.5, 2, seed=-1)
+
+    def test_negative_sample_index_rejected(self, no_eigensolve):
+        cfg = InitialConfiguration.explicit([-1.0, 0.0, 1.0])
+        with pytest.raises(ConfigError):
+            dbm_paths(cfg, [0.1], -1)
+
     def test_negative_time_rejected(self):
         cfg = InitialConfiguration.explicit([0.0])
         with pytest.raises(ConfigError):
