@@ -56,6 +56,7 @@ _RANGES = {
     "finite and >= 0": lambda v: 0 <= v < math.inf,
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
+    ">= 0 and < 2**128": lambda v: 0 <= v < 2**128,
 }
 
 _MEASURE_KEYS = {
@@ -83,7 +84,7 @@ _SCHEMA = {
     "t": (float, "finite and > 0"),
     "t_grid": ([float], "finite and >= 0"),
     "n_grid": ([int], ">= 1"),
-    "seed": (int, ">= 0"),
+    "seed": (int, ">= 0 and < 2**128"),
     "samples": (int, ">= 1"),
     "sample_index": (int, ">= 0"),
     "threads": (int, ">= 1"),
@@ -217,11 +218,22 @@ def build_configuration(tree: dict) -> InitialConfiguration:
     raise ConfigError(f"unknown generator {gen!r}")
 
 
+# the most points a window grid, -extent to extent, may have
+_MAX_GRID_POINTS = 1001
+
+
 def _u_grid(tree: dict) -> np.ndarray:
     blk = tree.get("window", {})
     extent = float(blk.get("extent", 2.0))
     step = float(blk.get("step", 0.25))
-    k = int(round(extent / step))
+    ratio = extent / step
+    # an inf ratio fails the test too
+    if not 2.0 * ratio + 1.0 < _MAX_GRID_POINTS + 1.0:
+        raise ConfigError(
+            f"window.extent / window.step = {ratio:g} gives more than "
+            f"{_MAX_GRID_POINTS} grid points"
+        )
+    k = int(round(ratio))
     return np.arange(-k, k + 1) * step
 
 

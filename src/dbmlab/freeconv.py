@@ -415,14 +415,15 @@ def _newton_heights(sums, t, size):
     """Heights y >= 0 with L(y^2) = 1/t, and 0 where no positive one exists.
 
     ``sums(idx, Y)`` returns L(Y) = int dmu(s)/((x - s)^2 + Y) and
-    M = -dL/dY at the points indexed by idx.  As a harmonic mean of
+    M = -dL/dY at the points indexed by idx, a slice of them all while
+    every point is still open, so no row is copied.  As a harmonic mean of
     functions affine in Y, h = 1/L is concave and increasing (Biane,
     Indiana Univ. Math. J. 46, 1997), so Newton on h(Y) = t, started below
     the root, rises monotonically to it.
     """
     y_floor = math.sqrt(t) * _Y_START
     big_y = np.full(size, y_floor * y_floor)
-    lsum, msum = sums(np.arange(size), big_y)
+    lsum, msum = sums(slice(None), big_y)
     ys = np.zeros(size)
     idx = np.nonzero(lsum > 1.0 / t)[0]
     big_y, lsum, msum = big_y[idx], lsum[idx], msum[idx]
@@ -435,10 +436,36 @@ def _newton_heights(sums, t, size):
         idx, big_y = idx[moving], big_y[moving] + step[moving]
         if idx.size == 0:
             return ys
-        lsum, msum = sums(idx, big_y)
+        lsum, msum = sums(idx if idx.size < size else slice(None), big_y)
     raise NonConvergence(
         f"subordination height: Newton did not settle in {_NEWTON_CAP} steps "
         f"at {idx.size} points, t={t:g}"
+    )
+
+
+def _monotone_cubic(nodes, values, q):
+    """The monotone cubic through (nodes, values) at q, clamped to its ends.
+
+    Nodes strictly increase and values do not decrease.  Fritsch and
+    Carlson (SIAM J. Numer. Anal. 17, 1980): the slope at a node is the mean
+    of its two secants, capped at three times either, which keeps each
+    cubic piece monotone; the end slopes are the end secants.  Linear data
+    are reproduced.
+    """
+    secant = np.diff(values) / np.diff(nodes)
+    slope = np.concatenate([
+        secant[:1],
+        np.minimum(0.5 * (secant[:-1] + secant[1:]), 3.0 * np.minimum(secant[:-1], secant[1:])),
+        secant[-1:],
+    ])
+    k = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, nodes.size - 2)
+    dh = nodes[k + 1] - nodes[k]
+    s = np.clip((q - nodes[k]) / dh, 0.0, 1.0)
+    # cubic Hermite basis on [0, 1]
+    h01 = s * s * (3.0 - 2.0 * s)
+    return (
+        values[k] + h01 * (values[k + 1] - values[k])
+        + dh * s * (1.0 - s) * ((1.0 - s) * slope[k] - s * slope[k + 1])
     )
 
 
@@ -575,8 +602,11 @@ class FreeConvolutionState:
         span = max(hull_hi - hull_lo, st, 1e-6)
         margin = 2.0 * st + 0.125 * span
         lo, hi = hull_lo - margin, hull_hi + margin
-        parts = [np.linspace(lo, hi, 1201)]
         pts = _atoms(mu)
+        # a frame reads its loop lumps off an atomic graph's heights, so atoms
+        # keep the fine base; a density's graph only starts the inverse map,
+        # and the refinement below resolves its steep stretches
+        parts = [np.linspace(lo, hi, 301 if pts is None else 1201)]
         if pts is not None:
             lump = math.sqrt(self.t / pts.size)
             ladder = np.linspace(-8.0, 8.0, 33) * lump
@@ -658,13 +688,34 @@ class FreeConvolutionState:
         return a, b, fa, fb
 
     def _solve(self, xi):
-        """x with H(x + i y(x)) = xi, flattened, by safeguarded Illinois steps."""
+        """x with H(x + i y(x)) = xi, flattened, by safeguarded Illinois steps.
+
+        Each open bracket first takes one step to the monotone cubic of the
+        cached graph, x against H, kept half a tolerance inside the bracket.
+        """
         xi = np.asarray(xi, dtype=float).ravel()
         if not np.all(np.isfinite(xi)):
             raise ValueError("xi must be finite")
+        a, b, fa, fb = self._bracket(xi)
+        tol = _XTOL + _RTOL * np.maximum(np.abs(a), np.abs(b))
+        act = np.nonzero((fa < 0.0) & (fb > 0.0) & (b - a >= tol))[0]
+        if act.size:
+            g = self._ensure_graph()
+            # H dips along the graph between repeated atoms; the nodes are the
+            # points where its running maximum strictly rises
+            rise = np.diff(g.hs_mono, prepend=-np.inf) > 0.0
+            half = 0.5 * tol[act]
+            c = np.clip(
+                _monotone_cubic(g.hs[rise], g.xs[rise], xi[act]),
+                a[act] + half, b[act] - half,
+            )
+            fc = self._h_graph(c) - xi[act]
+            hi, lo = fc >= 0.0, fc <= 0.0
+            b[act[hi]], fb[act[hi]] = c[hi], fc[hi]
+            a[act[lo]], fa[act[lo]] = c[lo], fc[lo]
         return _illinois(
             lambda x, idx: self._h_graph(x) - xi[idx],
-            *self._bracket(xi), _XTOL, _RTOL, _INVERSE_CAP, "inverse map"
+            a, b, fa, fb, _XTOL, _RTOL, _INVERSE_CAP, "inverse map"
         )
 
     def psi(self, xi):

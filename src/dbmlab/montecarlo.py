@@ -29,8 +29,8 @@ class GueSampler:
     def __init__(self, n: int, seed: int = 0):
         if n < 1:
             raise ConfigError(f"dimension must be positive, got {n}")
-        if seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {seed}")
+        if not 0 <= seed < 2**128:
+            raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
         self.n = int(n)
         self.seed = int(seed)
         self.upper = np.triu_indices(self.n, 1)

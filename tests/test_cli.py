@@ -382,6 +382,10 @@ class TestExitCodes:
             ("kernel", KERNEL_CONF.replace("extent = 1", "extent = inf")),
             ("paths", PATHS_CONF + "seed = -1\n"),
             ("paths", PATHS_CONF + "sample_index = -1\n"),
+            ("paths", PATHS_CONF + f"seed = {2**128}\n"),
+            ("kernel", KERNEL_CONF.replace("extent = 1", "extent = 1e300")
+                                  .replace("step = 0.5", "step = 1e-300")),
+            ("kernel", KERNEL_CONF.replace("step = 0.5", "step = 0.0009")),
         ],
         ids=["samples-zero", "samples-negative", "threads-zero", "threads-negative",
              "kernel-threads-zero", "density-samples-zero",
@@ -390,7 +394,8 @@ class TestExitCodes:
              "paths-nan-point", "gap-inf-point", "paths-nan-time",
              "density-x-star-nan", "density-x-star-overflow",
              "semicircle-variance-inf", "quantiles-b-inf", "kernel-extent-inf",
-             "paths-seed-negative", "paths-sample-index-negative"],
+             "paths-seed-negative", "paths-sample-index-negative",
+             "paths-seed-2-128", "kernel-grid-overflow", "kernel-grid-too-fine"],
     )
     def test_invalid_value_exits_2(self, tmp_path, command, text):
         conf = write_conf(tmp_path, text)
@@ -409,6 +414,13 @@ class TestExitCodes:
         conf = write_conf(tmp_path, PATHS_CONF)
         out = tmp_path / "o"
         rc = cli.main(["paths", "--config", str(conf), "--out", str(out), "--seed", "-1"])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_seed_flag_2_128_exits_2(self, tmp_path):
+        conf = write_conf(tmp_path, PATHS_CONF)
+        out = tmp_path / "o"
+        rc = cli.main(["paths", "--config", str(conf), "--out", str(out), "--seed", str(2**128)])
         assert rc == 2
         assert not out.exists()
 

@@ -554,6 +554,54 @@ def test_inverse_residual_on_density_grid():
         assert abs(state.H_raw(complex(z)) - x) <= 1e-10 * max(1.0, abs(x))
 
 
+def test_density_grid_root_solve_evaluations():
+    # the 201 points dbmlab density evaluates for kappa = 1/2: a thin graph,
+    # and a root solve started from the monotone cubic of it
+    t = 0.22845186424458322
+    state = FreeConvolutionState(MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)), t)
+    pad = 2.0 * math.sqrt(t)
+    xi = np.linspace(-1.0 - pad, 1.0 + pad, 201)
+    assert state._ensure_graph().xs.size < 500
+    evaluated = []
+    h_graph = state._h_graph
+    state._h_graph = lambda x: evaluated.append(x.size) or h_graph(x)
+    state.psi(xi)
+    assert sum(evaluated) <= 3.8 * xi.size
+
+
+def test_monotone_cubic_exact_on_linear_data():
+    nodes = np.array([-2.0, -0.5, 0.0, 0.1, 3.0])
+    values = 2.5 * nodes - 1.0
+    q = np.linspace(-2.0, 3.0, 41)
+    assert np.allclose(freeconv._monotone_cubic(nodes, values, q), 2.5 * q - 1.0, rtol=0, atol=1e-14)
+
+
+def test_monotone_cubic_does_not_overshoot():
+    # a step between flat stretches: an unlimited cubic rises above 1 and
+    # dips below 0 next to the jump
+    nodes = np.arange(8.0)
+    values = np.array([0.0, 0.0, 0.0, 0.01, 0.99, 1.0, 1.0, 1.0])
+    q = np.linspace(0.0, 7.0, 701)
+    got = freeconv._monotone_cubic(nodes, values, q)
+    assert np.all(np.diff(got) >= 0.0)
+    k = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, nodes.size - 2)
+    assert np.all((got >= values[k]) & (got <= values[k + 1]))
+
+
+def test_inverse_on_a_graph_where_H_dips():
+    # H dips along the graph between repeated atoms; the cubic takes only
+    # points where its running maximum rises, so no secant divides by zero
+    pts = InitialConfiguration.from_quantiles(UNIFORM, 50).points.copy()
+    pts[11] = pts[10]
+    pts[31] = pts[32] = pts[30]
+    state = FreeConvolutionState(pts, 0.5)
+    g = state._ensure_graph()
+    assert np.any(np.diff(g.hs) < 0.0)
+    xi = np.linspace(-1.5, 1.5, 61)
+    for z, x in zip(inverse_map(state, xi), xi):
+        assert abs(state.H_raw(complex(z)) - x) <= 1e-10 * max(1.0, abs(x))
+
+
 # ---------------------------------------------------------------- graph points
 
 # two pieces with a gap around 0, where the graph sits on the axis at t = 0.01

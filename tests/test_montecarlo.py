@@ -45,6 +45,12 @@ class TestGueSampler:
         assert not np.array_equal(a, s.matrix(8))
         assert not np.array_equal(a, GueSampler(5, seed=12).matrix(7))
 
+    def test_seed_below_2_128(self):
+        # Philox keys are below 2**128; the largest one is taken
+        GueSampler(3, seed=2**128 - 1).matrix(0)
+        with pytest.raises(ConfigError):
+            GueSampler(3, seed=2**128)
+
     def test_entry_moments(self):
         # diagonal variance 1/n, off-diagonal real and imaginary parts 1/(2n)
         n, draws = 3, 30_000
