@@ -74,6 +74,13 @@ def _atoms(mu):
     return mu.points if isinstance(mu, InitialConfiguration) else None
 
 
+def _check_finite(x, name="x"):
+    """ConfigError unless every value of x, a scalar or an array, is finite."""
+    bad = np.extract(~np.isfinite(x), x)
+    if bad.size:
+        raise ConfigError(f"{name} must be finite, got {bad[0]}")
+
+
 def _interval_distance(x, a, b):
     return max(a - x, x - b, 0.0)
 
@@ -192,6 +199,7 @@ def hilbert_transform(mu, x):
     """Principal value of int dmu(s)/(x - s); ordinary integral off support."""
     mu = _as_measure(mu)
     x = float(x)
+    _check_finite(x)
     pts = _atoms(mu)
     if pts is not None:
         if np.min(np.abs(pts - x)) == 0.0:
@@ -246,8 +254,7 @@ def second_moment_integral(mu, x):
     """int dmu(s)/(x - s)^2, with exact divergence detection (may be inf)."""
     mu = _as_measure(mu)
     x = float(x)
-    if not math.isfinite(x):
-        raise ConfigError(f"x must be finite, got {x}")
+    _check_finite(x)
     pts = _atoms(mu)
     if pts is not None:
         diffs = x - pts
@@ -297,19 +304,6 @@ def _chunked_rows(n, budget=1 << 17):
     temporaries, of a size that changes as Newton's active set shrinks, stay
     resident on the malloc heap."""
     return max(1, budget // max(n, 1))
-
-
-def _node_lorentz_sums(nodes, weights, xs, big_y):
-    """L = sum w / ((x - s)^2 + Y) and M = -dL/dY = sum w / ((x - s)^2 + Y)^2."""
-    lsum = np.empty(xs.size)
-    msum = np.empty(xs.size)
-    block = _chunked_rows(nodes.size)
-    for i in range(0, xs.size, block):
-        sl = slice(i, i + block)
-        inv = 1.0 / ((xs[sl, None] - nodes[None, :]) ** 2 + big_y[sl, None])
-        lsum[sl] = inv @ weights
-        msum[sl] = np.multiply(inv, inv, out=inv) @ weights
-    return lsum, msum
 
 
 def _closed_lorentz_sums(mu, xs, big_y):
@@ -395,6 +389,14 @@ def _row_lorentz_sums(dx2, weights, big_y):
     lsum = np.einsum("ij,ij->i", inv, weights)
     msum = np.einsum("ij,ij->i", np.multiply(inv, inv, out=inv), weights)
     return lsum, msum
+
+
+def _atom_lorentz_sums(dx2, weights, big_y):
+    """L and M = -dL/dY with one row of squared distances (x - s)^2 to the
+    atoms per point and one weight vector for all, so that each sum is one
+    matrix-vector product."""
+    inv = 1.0 / (dx2 + big_y[:, None])
+    return inv @ weights, np.multiply(inv, inv, out=inv) @ weights
 
 
 # points per block of panel rules, set by memory: a rule has up to about
@@ -494,7 +496,9 @@ class FreeConvolutionState:
     # ------------------------------------------------------------ pointwise
 
     def y(self, x):
-        return float(self._y_profile(np.array([float(x)]))[0])
+        x = float(x)
+        _check_finite(x)
+        return float(self._y_profile(np.array([x]))[0])
 
     def H_raw(self, z):
         """H(z) = z + t G(z) without domain validation."""
@@ -519,6 +523,7 @@ class FreeConvolutionState:
         """Real image H(x + i y(x)) of points transported along the flow; a
         scalar or an array like x."""
         xs = np.asarray(x, dtype=float).ravel()
+        _check_finite(xs)
         return _shaped(x, self._real_image(xs, *self._graph_points(xs)))
 
     def _real_image(self, xs, ys, g):
@@ -538,11 +543,17 @@ class FreeConvolutionState:
         mu, t = self.mu, self.t
         pts = _atoms(mu)
         if pts is not None:
+            # (x - s)^2 once per block of rows, reused at every Newton step
             weights = np.full(pts.size, 1.0 / pts.size)
-            return _newton_heights(
-                lambda i, big_y: _node_lorentz_sums(pts, weights, xs[i], big_y),
-                t, xs.size,
-            )
+            ys = np.empty(xs.size)
+            block = _chunked_rows(pts.size)
+            for j in range(0, xs.size, block):
+                dx2 = (xs[j : j + block, None] - pts) ** 2
+                ys[j : j + block] = _newton_heights(
+                    lambda i, big_y: _atom_lorentz_sums(dx2[i], weights, big_y),
+                    t, dx2.shape[0],
+                )
+            return ys
         if mu.kind in ("semicircle", "uniform"):
             return _newton_heights(
                 lambda i, big_y: _closed_lorentz_sums(mu, xs[i], big_y), t, xs.size
@@ -694,8 +705,7 @@ class FreeConvolutionState:
         cached graph, x against H, kept half a tolerance inside the bracket.
         """
         xi = np.asarray(xi, dtype=float).ravel()
-        if not np.all(np.isfinite(xi)):
-            raise ValueError("xi must be finite")
+        _check_finite(xi, "xi")
         a, b, fa, fb = self._bracket(xi)
         tol = _XTOL + _RTOL * np.maximum(np.abs(a), np.abs(b))
         act = np.nonzero((fa < 0.0) & (fb > 0.0) & (b - a >= tol))[0]
@@ -806,6 +816,7 @@ def _window(state, x_star, epsilon, u_grid):
     """A bulk window when epsilon is None, else a gap window; one graph point
     gives the height at x*, c_t and x*_t."""
     xs = np.array([float(x_star)])
+    _check_finite(xs)
     ys, g = state._graph_points(xs)
     y_star = float(ys[0])
     if epsilon is None and y_star <= 0.0:

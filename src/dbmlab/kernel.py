@@ -387,6 +387,9 @@ class RescaledKernelFrame:
         self._saddles: dict[float, tuple[complex, float]] = {}
         self._pairs: dict[tuple[float, float], float] = {}
         self._far_lumps: dict[tuple[int, int], tuple | None] = {}
+        # heights solved on the home lump of each contour, keyed by
+        # (lump, x0, s, width): sorted x and y(x)
+        self._home_heights: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         # largest node count, both contours and both halves, of an accepted row
         self.quadrature_m = 0
         # Re z_saddle(0), reported as the frame's anchor
@@ -530,14 +533,43 @@ class RescaledKernelFrame:
             mids.append(right[1])
         return np.concatenate(verts), np.concatenate(mids)
 
-    def _lump_nodes(self, lo, hi, x0, s, width, level, is_home):
-        """One lump's loop nodes and steps, with B and L at the nodes."""
-        vx, mx = self._lump_grid(lo, hi, x0, s, width, level, is_home)
+    def _lump_nodes(self, lo, hi, x0, s, width, level, home):
+        """One lump's loop nodes and steps, with B and L at the nodes.
+
+        ``home`` is the height store's key when the lump holds x0, else None.
+        """
+        vx, mx = self._lump_grid(lo, hi, x0, s, width, level, home is not None)
         if vx.size < 2:
             return None
-        ally = self.state._y_profile(np.concatenate([vx, mx]))
+        xs = np.concatenate([vx, mx])
+        if home is not None:
+            ally = self._home_profile(home, xs)
+        else:
+            ally = self.state._y_profile(xs)
         nodes = mx + 1j * ally[vx.size :]
         return (nodes, np.diff(vx + 1j * ally[: vx.size]), *self._phi_parts(nodes))
+
+    def _home_profile(self, key, xs):
+        """Heights at xs on a home lump, each solved once per contour key.
+
+        A home grid's vertices at one level are the vertices and midpoints of
+        the level before, and another call on the same contour asks for the
+        same grids again; points already solved are read back exactly, the
+        rest go to Newton and join the store.  The store is keyed by contour,
+        so a row's values do not depend on which other contours came first.
+        """
+        kx, ky = self._home_heights.get(key, (np.empty(0), np.empty(0)))
+        i = np.searchsorted(kx, xs)
+        hit = i < kx.size
+        hit[hit] = kx[i[hit]] == xs[hit]
+        ys = np.empty(xs.size)
+        ys[hit] = ky[i[hit]]
+        miss = ~hit
+        if miss.any():
+            ys[miss] = self.state._y_profile(xs[miss])
+            kx, first = np.unique(np.concatenate([kx, xs[miss]]), return_index=True)
+            self._home_heights[key] = (kx, np.concatenate([ky, ys[miss]])[first])
+        return ys
 
     def _w_contour(self, x0: float, s: float, width: float, level: int):
         """Upper half of the loop: parameter-midpoint nodes, steps, B and L."""
@@ -546,13 +578,13 @@ class RescaledKernelFrame:
             if hi <= lo:
                 continue
             if lo <= x0 <= hi:
-                part = self._lump_nodes(lo, hi, x0, s, width, level, True)
+                part = self._lump_nodes(lo, hi, x0, s, width, level, (k, x0, s, width))
             else:
                 # away from x0 a lump's grid depends on (lump, level) alone
                 key = (k, level)
                 if key not in self._far_lumps:
                     self._far_lumps[key] = self._lump_nodes(
-                        lo, hi, x0, s, width, level, False
+                        lo, hi, x0, s, width, level, None
                     )
                 part = self._far_lumps[key]
             if part is not None:

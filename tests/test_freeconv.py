@@ -154,6 +154,27 @@ def test_t_critical_nonfinite_point_rejected(x):
         second_moment_integral(InitialConfiguration.explicit([-1.0, 1.0]), x)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_nonfinite_x_rejected(x):
+    # each once gave a number or a wrong error: a window with x*_t = nan,
+    # OutsideDomain, a height of 0, a forward image or Hilbert transform nan
+    cfg = InitialConfiguration.equispaced(-1.0, 1.0, 40).with_gap(0.0, 0.3)
+    state = FreeConvolutionState(cfg, 0.5)
+    calls = [
+        lambda: gap_window(cfg, 0.01 * 0.3**2, x, 0.03),
+        lambda: make_window(UNIFORM, 0.5, x),
+        lambda: y_t(state, x),
+        lambda: forward_map(state, x),
+        lambda: forward_map(state, np.array([0.0, x])),
+        lambda: hilbert_transform(UNIFORM, x),
+        lambda: hilbert_transform(cfg, x),
+        lambda: inverse_map(state, x),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="must be finite"):
+            call()
+
+
 def test_t_critical_power_quadratic_center():
     mu = MeasureSpec.power(2.0, 0.0, (-1.0, 1.0))
     assert t_critical(mu, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-8)
@@ -272,6 +293,10 @@ def _power_case(kappa, t):
             InitialConfiguration.equispaced(-1.0, 1.0, 40).with_gap(0.0, 0.3).points,
             0.01 * 0.3**2,
         ),
+        # 660 points, more than the 436 rows of one block of (x - s)^2 at n = 300
+        lambda: _atomic_case(
+            InitialConfiguration.from_quantiles(UNIFORM, 300).points, 0.5
+        ),
         lambda: _closed_case(SEMI, 0.3, np.linspace(-3.0, 3.0, 61)),
         # points outside [-1, 1] with positive heights, where Newton starts
         # far below their distance to the support
@@ -288,6 +313,7 @@ def _power_case(kappa, t):
     ids=[
         "atoms-bulk",
         "atoms-gap",
+        "atoms-many-rows",
         "semicircle",
         "uniform",
         "power-half",

@@ -639,3 +639,72 @@ def test_frame_solves_new_saddles_in_one_inverse_call(monkeypatch):
     frame.values(grid, grid)
     frame.sine_amplitude(0.5)
     assert calls == [4]
+
+
+def _record_home_solves(frame, monkeypatch):
+    """Patch the frame to record, per level, the points its home grids ask
+    for and the points it passes to Newton.  Saddle solves pass points to
+    Newton too, so callers solve the grid's saddles first."""
+    asked, solved, level = {}, {}, [None]
+    grid, profile = frame._lump_grid, frame.state._y_profile
+
+    def lump_grid(lo, hi, x0, s, width, lev, is_home):
+        vx, mx = grid(lo, hi, x0, s, width, lev, is_home)
+        level[0] = lev
+        if is_home:
+            asked[lev] = asked.get(lev, 0) + vx.size + mx.size
+        return vx, mx
+
+    def y_profile(xs):
+        solved[level[0]] = solved.get(level[0], 0) + xs.size
+        return profile(xs)
+
+    monkeypatch.setattr(frame, "_lump_grid", lump_grid)
+    monkeypatch.setattr(frame.state, "_y_profile", y_profile)
+    return asked, solved
+
+
+def test_home_heights_solved_once_across_levels(monkeypatch):
+    # level l + 1's home vertices are level l's vertices and midpoints, so
+    # each level after the first reads back all of the level before but
+    # its two bridges
+    frame = _bulk_uniform_frame(100)
+    grid = np.asarray(frame.window.u_grid)
+    frame._saddles_at([0.0, *grid])
+    asked, solved = _record_home_solves(frame, monkeypatch)
+    frame.values(grid, grid)
+    assert len(asked) >= 3
+    assert sum(solved.values()) < 0.7 * sum(asked.values())
+
+
+def test_home_heights_reused_by_a_later_call(monkeypatch):
+    # new rows on the same anchor ask for the same home grids again
+    frame = _bulk_uniform_frame(100)
+    grid = np.asarray(frame.window.u_grid)
+    rows = np.array([-0.3, 0.1, 0.7])
+    frame._saddles_at([0.0, *grid, *rows])
+    asked, solved = _record_home_solves(frame, monkeypatch)
+    frame.values(grid, grid)
+    reached = max(asked)
+    asked.clear()
+    solved.clear()
+    frame.values(rows, grid)
+    assert asked
+    assert all(solved.get(lev, 0) == 0 for lev in asked if lev <= reached), solved
+
+
+def test_home_heights_match_a_cold_solve():
+    # a read-back height is the double Newton returned, never an interpolant
+    frame = _bulk_uniform_frame(100)
+    grid = np.asarray(frame.window.u_grid)
+    frame.values(grid, grid)
+    cold = FreeConvolutionState(frame.points, frame.t)
+    bound = 1e-14 * math.sqrt(frame.t)
+    assert frame._home_heights
+    for kx, ky in frame._home_heights.values():
+        assert np.all(np.diff(kx) > 0.0)
+        assert np.max(np.abs(ky - cold._y_profile(kx))) <= bound
+    za = frame._saddles_at((0.0,))[0][0]
+    width = 1.0 / math.sqrt(frame._beta(za.real, za.imag))
+    wn = frame._w_contour(za.real, za.imag, width, 2)[0]
+    assert np.max(np.abs(wn.imag - cold._y_profile(wn.real))) <= bound
