@@ -388,8 +388,10 @@ class RescaledKernelFrame:
         self._pairs: dict[tuple[float, float], float] = {}
         self._far_lumps: dict[tuple[int, int], tuple | None] = {}
         # heights solved on the home lump of each contour, keyed by
-        # (lump, x0, s, width): sorted x and y(x)
+        # (lump, x0, s, width), and on each lump away from x0, keyed by the
+        # lump: sorted x and y(x)
         self._home_heights: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._far_heights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # largest node count, both contours and both halves, of an accepted row
         self.quadrature_m = 0
         # Re z_saddle(0), reported as the frame's anchor
@@ -533,32 +535,33 @@ class RescaledKernelFrame:
             mids.append(right[1])
         return np.concatenate(verts), np.concatenate(mids)
 
-    def _lump_nodes(self, lo, hi, x0, s, width, level, home):
+    def _lump_nodes(self, lo, hi, x0, s, width, level, home, key):
         """One lump's loop nodes and steps, with B and L at the nodes.
 
-        ``home`` is the height store's key when the lump holds x0, else None.
+        ``home`` says whether the lump holds x0; ``key`` is the lump's key
+        in the matching height store.
         """
-        vx, mx = self._lump_grid(lo, hi, x0, s, width, level, home is not None)
+        vx, mx = self._lump_grid(lo, hi, x0, s, width, level, home)
         if vx.size < 2:
             return None
         xs = np.concatenate([vx, mx])
-        if home is not None:
-            ally = self._home_profile(home, xs)
-        else:
-            ally = self.state._y_profile(xs)
+        store = self._home_heights if home else self._far_heights
+        ally = self._stored_profile(store, key, xs)
         nodes = mx + 1j * ally[vx.size :]
         return (nodes, np.diff(vx + 1j * ally[: vx.size]), *self._phi_parts(nodes))
 
-    def _home_profile(self, key, xs):
-        """Heights at xs on a home lump, each solved once per contour key.
+    def _stored_profile(self, store, key, xs):
+        """Heights at xs on one lump, each solved once per key of the store.
 
         A home grid's vertices at one level are the vertices and midpoints of
         the level before, and another call on the same contour asks for the
-        same grids again; points already solved are read back exactly, the
-        rest go to Newton and join the store.  The store is keyed by contour,
-        so a row's values do not depend on which other contours came first.
+        same grids again; a far lump's cosine grid at one level holds every
+        vertex of the level before.  Points already solved are read back
+        exactly, the rest go to Newton and join the store.  Home heights are
+        keyed by contour and a far lump's levels come in order, so a row's
+        values do not depend on which other contours came first.
         """
-        kx, ky = self._home_heights.get(key, (np.empty(0), np.empty(0)))
+        kx, ky = store.get(key, (np.empty(0), np.empty(0)))
         i = np.searchsorted(kx, xs)
         hit = i < kx.size
         hit[hit] = kx[i[hit]] == xs[hit]
@@ -568,7 +571,7 @@ class RescaledKernelFrame:
         if miss.any():
             ys[miss] = self.state._y_profile(xs[miss])
             kx, first = np.unique(np.concatenate([kx, xs[miss]]), return_index=True)
-            self._home_heights[key] = (kx, np.concatenate([ky, ys[miss]])[first])
+            store[key] = (kx, np.concatenate([ky, ys[miss]])[first])
         return ys
 
     def _w_contour(self, x0: float, s: float, width: float, level: int):
@@ -578,13 +581,15 @@ class RescaledKernelFrame:
             if hi <= lo:
                 continue
             if lo <= x0 <= hi:
-                part = self._lump_nodes(lo, hi, x0, s, width, level, (k, x0, s, width))
+                part = self._lump_nodes(
+                    lo, hi, x0, s, width, level, True, (k, x0, s, width)
+                )
             else:
                 # away from x0 a lump's grid depends on (lump, level) alone
                 key = (k, level)
                 if key not in self._far_lumps:
                     self._far_lumps[key] = self._lump_nodes(
-                        lo, hi, x0, s, width, level, None
+                        lo, hi, x0, s, width, level, False, k
                     )
                 part = self._far_lumps[key]
             if part is not None:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +170,9 @@ def test_nonfinite_x_rejected(x):
         lambda: hilbert_transform(UNIFORM, x),
         lambda: hilbert_transform(cfg, x),
         lambda: inverse_map(state, x),
+        lambda: stieltjes(UNIFORM, x),
+        lambda: stieltjes(UNIFORM, complex(0.2, x)),
+        lambda: H_map(state, complex(0.1, x)),
     ]
     for call in calls:
         with pytest.raises(ConfigError, match="must be finite"):
@@ -578,6 +582,17 @@ def test_inverse_residual_on_density_grid():
     xi = np.linspace(-1.0 - pad, 1.0 + pad, 201)
     for z, x in zip(inverse_map(state, xi), xi):
         assert abs(state.H_raw(complex(z)) - x) <= 1e-10 * max(1.0, abs(x))
+
+
+def test_density_grid_matches_stored_psi():
+    # psi at the 201 points dbmlab density evaluates for kappa = 1/2, against
+    # density.csv as that command wrote it with panel rules graded by halves
+    table = np.loadtxt(
+        Path(__file__).parent / "data" / "density_power.csv", delimiter=",", skiprows=1
+    )
+    state = FreeConvolutionState(MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)), 0.22845186424458322)
+    assert table.shape == (201, 2)
+    assert np.max(np.abs(psi_t(state, table[:, 0]) - table[:, 1])) <= 1e-12
 
 
 def test_density_grid_root_solve_evaluations():

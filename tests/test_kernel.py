@@ -641,17 +641,18 @@ def test_frame_solves_new_saddles_in_one_inverse_call(monkeypatch):
     assert calls == [4]
 
 
-def _record_home_solves(frame, monkeypatch):
-    """Patch the frame to record, per level, the points its home grids ask
-    for and the points it passes to Newton.  Saddle solves pass points to
-    Newton too, so callers solve the grid's saddles first."""
+def _record_home_solves(frame, monkeypatch, home=True):
+    """Patch the frame to record, per level, the points its home grids (far
+    grids if not ``home``) ask for and the points it passes to Newton.
+    Saddle solves pass points to Newton too, so callers solve the grid's
+    saddles first."""
     asked, solved, level = {}, {}, [None]
     grid, profile = frame._lump_grid, frame.state._y_profile
 
     def lump_grid(lo, hi, x0, s, width, lev, is_home):
         vx, mx = grid(lo, hi, x0, s, width, lev, is_home)
         level[0] = lev
-        if is_home:
+        if is_home == home:
             asked[lev] = asked.get(lev, 0) + vx.size + mx.size
         return vx, mx
 
@@ -674,6 +675,20 @@ def test_home_heights_solved_once_across_levels(monkeypatch):
     asked, solved = _record_home_solves(frame, monkeypatch)
     frame.values(grid, grid)
     assert len(asked) >= 3
+    assert sum(solved.values()) < 0.7 * sum(asked.values())
+
+
+def test_far_heights_solved_once_across_levels(monkeypatch):
+    # a far lump's cosine grid at level l + 1 holds every vertex of level l;
+    # on the frame of bench/configs/gap.conf no lump holds the real anchor
+    cfg = InitialConfiguration.equispaced(-1.0, 1.0, 100).with_gap(0.0, 0.3)
+    t = 0.01 * 0.3**2
+    frame = RescaledKernelFrame(cfg, t, gap_window(cfg, t, 0.0, epsilon=0.03))
+    grid = np.linspace(-2.0, 2.0, 9)
+    frame._saddles_at([0.0, *grid])
+    asked, solved = _record_home_solves(frame, monkeypatch, home=False)
+    frame.values(grid, grid)
+    assert len(asked) >= 2
     assert sum(solved.values()) < 0.7 * sum(asked.values())
 
 

@@ -27,7 +27,7 @@ def loop_graded_edges(a, b, special=(), floor=None, max_levels=48):
             edges.add(s)
         w = span
         for _ in range(max_levels):
-            w *= 0.5
+            w *= 0.25
             if w < floor:
                 break
             lo, hi = s - w, s + w
@@ -94,6 +94,10 @@ def random_inputs(rng):
         special += [0.0, span * rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-14.0, -2.0)]
     floor = None if rng.random() < 0.2 else span * 10.0 ** rng.uniform(-14.0, 0.5)
     levels = 48 if rng.random() < 0.8 else int(rng.integers(1, 10))
+    if rng.random() < 0.3:
+        # a comb of kinks span/10 apart: no gap exceeds the cap, so the
+        # rule is not rebuilt, which a lone quarter ladder almost always is
+        special += list(np.linspace(a, b, 11)[1:-1])
     return a, b, special, floor, levels
 
 
@@ -168,3 +172,29 @@ def test_rule_block_matches_single_points_bitwise(name, y):
         assert same_bits(weights[row, :count], wd[0])
         assert np.all(nodes[row, count:] == x + 1.0)
         assert np.all(weights[row, count:] == 0.0)
+
+
+UNIFORM = MeasureSpec.uniform(-1.0, 1.0)
+CLOSED_FORMS = {
+    "uniform": (UNIFORM, lambda z: freeconv._stieltjes_closed(UNIFORM, z)),
+    # density |s|, graded at its kink
+    "power 1": (
+        MeasureSpec.power(1.0, 0.0, (-1.0, 1.0)),
+        lambda z: z * (2.0 * np.log(z) - np.log(z - 1.0) - np.log(z + 1.0)),
+    ),
+    # density 3 s^2 / 2
+    "power 2": (
+        MeasureSpec.power(2.0, 0.0, (-1.0, 1.0)),
+        lambda z: 1.5 * (z * z * np.log((z + 1.0) / (z - 1.0)) - 2.0 * z),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+@pytest.mark.parametrize("y", [1e-3, 1e-2, 0.3, 2.0])
+def test_cauchy_panels_match_closed_forms(name, y):
+    # closer to the axis than y = 1e-6 rounding, not the rule, sets the error
+    mu, closed = CLOSED_FORMS[name]
+    for x in np.linspace(-1.5, 1.5, 121):
+        ref = closed(complex(x, y))
+        assert abs(freeconv._cauchy_panels(mu, complex(x, y)) - ref) <= 1e-13 * abs(ref), x
