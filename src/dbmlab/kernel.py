@@ -1,24 +1,27 @@
 """Exact correlation kernels for deterministic spectra under Gaussian flow.
 
 Two independent evaluation routes are kept deliberately separate so that one
-can certify the other.  The first writes the kernel as a finite biorthogonal
-sum: Gaussian quadrature applied to the vertical-line integral of each
-Lagrange basis ratio, times a Gaussian factor per source point.  It is exact
-for any node count above half the point count, but it sums terms of
-alternating sign whose cancellation grows with ``n * spread^2 / t``, so it is
-the reference route at moderate size and a cross-check elsewhere.  The second
-route discretizes the double contour representation directly: a vertical line
-through the real part of the z-saddle, and a loop following the graph of the
-local spectral half-width around the source points.  All exponentials are
-referenced to their saddle values, which keeps every factor at or below one
-in modulus along the descent paths; this route scales to large ``n`` and is
-what the rescaled observation frames use.
+can certify the other.  The first is a closed form, the w-residues of the
+Brezin-Hikami / Johansson double contour integral: K(x, y) = sqrt(2n/t) /
+(2 sqrt(pi)) sum_k A_k(x) exp(-n (a_k - y)^2 / (2t)), with A_k the Lagrange
+basis polynomial of source point a_k smoothed by the heat flow.  Its terms
+cancel by up to 35 orders of magnitude at n = 200, so they are summed in
+decimal, at working digits that rise until each value agrees within 1e-15 of
+its scale with itself at 20 digits more; a value below the float range
+becomes 0.0 only when converted.  The second route discretizes the double
+contour representation directly: a vertical line through the real part of
+the z-saddle, and a loop following the graph of the local spectral
+half-width around the source points.  All exponentials are referenced to
+their saddle values, which keeps every factor at or below one in modulus
+along the descent paths; this route scales to large ``n`` and is what the
+rescaled observation frames use.
 """
 
 from __future__ import annotations
 
-import functools
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -36,20 +39,17 @@ _DROP_CUTOFF = 60.0
 # RescaledKernelFrame._phi_parts
 _BLOCK_BYTES = 2_000_000
 
+# the Lagrange route's first working digits, the digits more at which each
+# value is taken again, and the cap past which it raises NonConvergence
+_START_DIGITS = 30
+_CHECK_DIGITS = 20
+_MAX_DIGITS = 400
+
 
 def _x_blocks(size: int, bytes_per_x: int) -> list[slice]:
     """Slices of range(size) whose temporaries stay under _BLOCK_BYTES."""
     step = max(1, _BLOCK_BYTES // bytes_per_x)
     return [slice(i, i + step) for i in range(0, size, step)]
-
-
-@functools.cache
-def _hermgauss(m: int):
-    # numpy's hermgauss overflows above a few hundred nodes; scipy.special,
-    # most of the cost of importing dbmlab, loads on the first call instead
-    from scipy.special import roots_hermite
-
-    return roots_hermite(m)
 
 
 def sine_kernel(u, v):
@@ -80,15 +80,40 @@ def _split_duplicates(pts: np.ndarray) -> tuple[np.ndarray, float]:
     return out, eps
 
 
+def _lagrange_table(a: np.ndarray) -> np.ndarray:
+    """Monomial coefficients of each l_k, low powers first, in column k:
+    P(w) = prod (w - a_j) expanded once, divided synthetically by each
+    w - a_k and by prod_{j != k} (a_k - a_j)."""
+    n = a.size
+    diffs = a[:, None] - a[None, :]
+    np.fill_diagonal(diffs, Decimal(1))
+    p = np.full(n + 1, Decimal(0), dtype=object)
+    p[0] = Decimal(1)
+    for j, r in enumerate(a):  # P *= w - a_j
+        p[: j + 2] = np.concatenate(([Decimal(0)], p[: j + 1])) - r * p[: j + 2]
+    q = np.empty((n, n), dtype=object)
+    q[n - 1] = p[n]
+    for m in range(n - 1, 0, -1):
+        q[m - 1] = p[m] + a * q[m]
+    return q / np.prod(diffs, axis=1)
+
+
+def _at(digits: int, compute):
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        return compute()
+
+
 class KernelEvaluator:
-    """Lagrange-sum kernel evaluator bound to one configuration and time.
+    """Lagrange-route kernel evaluator bound to one configuration and time.
 
     ``x0`` is the gauge base point: determinants and the diagonal are
     invariant under it, individual off-diagonal entries of the gauge-fixed
-    kernel are not.
+    kernel are not.  A value's scale is the larger of |K(x,y)| and
+    sqrt(K(x,x) K(y,y)), the latter carried onto the ungauged entry through
+    ``gauge_log``.  The working digits only rise.
     """
 
-    def __init__(self, config, t, x0=0.0, m_nodes=64, m_max=4096):
+    def __init__(self, config, t, x0=0.0):
         t = float(t)
         if not (math.isfinite(t) and t > 0.0):
             raise ConfigError(f"t must be positive and finite, got {t}")
@@ -96,141 +121,106 @@ class KernelEvaluator:
         self.n = int(self.points.size)
         self.t = t
         self.x0 = float(x0)
-        self.m0 = int(max(int(m_nodes), self.n // 2 + 1))
-        self.m_max = int(m_max)
-        self.quadrature_m = self.m0
-        diffs = self.points[:, None] - self.points[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        # log |prod_{j!=k}(a_k - a_j)| and its sign, split for stability
-        self._d = np.sum(np.log(np.abs(diffs)), axis=1)
-        self._sign = np.where((self.n - 1 - np.arange(self.n)) % 2 == 0, 1.0, -1.0)
+        self.digits = _START_DIGITS
+        self._pref = math.sqrt(2.0 * self.n / t) / (2.0 * math.sqrt(math.pi))
+        self._a = np.array([Decimal(v) for v in self.points.tolist()], dtype=object)
+        self._tables: dict[int, np.ndarray] = {}  # digits -> _lagrange_table
+        self._gauss: tuple[int, dict] = (0, {})  # (digits, y -> column of G)
+        self._diag: dict[float, float] = {}  # x -> K(x, x)
 
-    # -- z-line quadrature core -------------------------------------------
+    @property
+    def quadrature_m(self) -> int:
+        """The largest working digits reached, under the name the benchmark's
+        ``kernel.lagrange_m`` reads; a change to the benchmark alone renames it."""
+        return self.digits + _CHECK_DIGITS
 
-    def _z_core(self, xs, m, shift):
-        """Per x: reference exponent p1, line sums b (X x n), |b| sums, noise scale."""
-        n, t = self.n, self.t
-        s, w = _hermgauss(m)
-        c = math.sqrt(2.0 * t / n)
-        with np.errstate(divide="ignore"):
-            logw = np.log(w)
-        rot = 1j * (shift * math.sqrt(2.0 * n / t))
-        extra = (n / (2.0 * t)) * shift * shift + rot * s
-        p1, scale = np.empty(xs.size), np.empty(xs.size)
-        b = np.empty((xs.size, n), dtype=complex)
-        bmag = np.empty((xs.size, n))
-        for sl in _x_blocks(xs.size, 16 * m * n):
-            z = (xs[sl, None] + shift) + 1j * (c * s)
-            with np.errstate(divide="ignore"):
-                lz = np.log(z[:, :, None] - self.points)
-            stot = lz.sum(axis=2)
-            am = (stot + logw + extra)[:, :, None] - lz - self._d
-            ar = am.real
-            p1[sl] = np.max(ar, axis=(1, 2))
-            e = np.exp(am - p1[sl, None, None])
-            b[sl] = e.sum(axis=1)
-            bmag[sl] = np.abs(e).sum(axis=1)
-            # Hermite weights that underflow to 0 (from M = 512 on) give -inf
-            # exponents; their terms are exact zeros and carry no rounding
-            top = np.max(np.abs(ar), axis=(1, 2), where=np.isfinite(ar), initial=0.0)
-            scale[sl] = np.maximum(1.0, top)
-        return p1, b, bmag, scale
+    def _members(self, xs: np.ndarray) -> np.ndarray:
+        """A_k(x) = sum_m l_km H_m(x), X x n, at the context's digits: the
+        heat flow maps x^m to H_m(x) = sum_p (-s/2)^p m!/((m-2p)! p!) x^(m-2p),
+        s = t/n, and H_{m+1} = x H_m - m s H_{m-1}."""
+        digits = decimal.getcontext().prec
+        if digits not in self._tables:
+            self._tables = {d: v for d, v in self._tables.items() if d >= self.digits}
+            self._tables[digits] = _lagrange_table(self._a)
+        x = np.array([Decimal(v) for v in xs.tolist()], dtype=object)
+        s = Decimal(self.t) / self.n
+        h = np.full((x.size, self.n), Decimal(1), dtype=object)
+        for m in range(self.n - 1):
+            h[:, m + 1] = x * h[:, m] - (m * s) * h[:, m - 1]
+        return h @ self._tables[digits]
 
-    def _rows(self, xs, ys, m, shift):
-        """K(xs[i], ys[i, j]) and its noise; ys broadcasts against X x 1."""
-        n, t = self.n, self.t
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ys = np.broadcast_to(ys, np.broadcast_shapes((xs.size, 1), np.shape(ys)))
-        p1, b, bmag, scale = self._z_core(xs, m, shift)
-        pref = math.sqrt(2.0 * n / t) / (2.0 * math.pi)
-        absb = np.abs(b)
-        with np.errstate(divide="ignore"):
-            lb = np.where(absb > 0.0, np.log(np.maximum(absb, 1e-300)), -np.inf)
-            lmag = np.where(bmag > 0.0, np.log(np.maximum(bmag, 1e-300)), -np.inf)
-        phase = np.where(absb > 0.0, b / np.maximum(absb, 1e-300), 0.0)
-        vals = np.empty(ys.shape, dtype=complex)
-        noise = np.empty(ys.shape)
-        for sl in _x_blocks(xs.size, 16 * n * ys.shape[1]):
-            q = -(n / (2.0 * t)) * (self.points[:, None] - ys[sl, None, :]) ** 2
-            m2 = q + (p1[sl, None] + lb[sl])[:, :, None]
-            p2 = np.max(m2, axis=1)
-            dead = ~np.isfinite(p2)
-            p2 = np.where(dead, 0.0, p2)
-            terms = (self._sign * phase[sl])[:, :, None] * np.exp(m2 - p2[:, None, :])
-            nm = q + (p1[sl, None] + lmag[sl])[:, :, None]
-            err = pref * np.exp(p2) * np.exp(nm - p2[:, None, :]).sum(axis=1)
-            err = err * (5e-16 * scale[sl, None])
-            vals[sl] = np.where(dead, 0.0, pref * np.exp(p2) * terms.sum(axis=1))
-            noise[sl] = np.where(dead, 0.0, err)
-        return vals, noise
+    def _gaussians(self, ys: np.ndarray) -> np.ndarray:
+        """exp(-n (a_k - y)^2 / (2t)), n x Y, rounded to the context's digits
+        from the working digits plus _CHECK_DIGITS, at which each y is taken
+        once: the check then sees the rounding of every sum and of l_k's
+        table.  At most 2^18 decimals are kept."""
+        digits = self.digits + _CHECK_DIGITS
+        if self._gauss[0] != digits or self.n * len(self._gauss[1]) > 1 << 18:
+            self._gauss = (digits, {})
+        new = [y for y in dict.fromkeys(ys.tolist()) if y not in self._gauss[1]]
+        if new:
+            with decimal.localcontext(decimal.Context(prec=digits)):
+                d = self._a[:, None] - np.array([Decimal(v) for v in new], dtype=object)
+                self._gauss[1].update(zip(new, np.exp(-self.n / (2 * Decimal(self.t)) * d**2).T))
+        return np.positive(np.stack([self._gauss[1][y] for y in ys.tolist()], axis=1))
 
-    def _doubled(self, level, rtol, cap_msg, stall_msg):
-        """Doubles M from m0 until ``level(M)``, values and their noise, agrees
-        with the level before within max(rtol |value|, 4 noise); returns
-        those values made real, and M."""
-        m = self.m0
-        if 2 * m > self.m_max:
-            raise NonConvergence(cap_msg.format(m_max=self.m_max, m=m))
-        vals, noise = level(m)
+    def _sums(self, xs: np.ndarray, ys: np.ndarray, pairs: bool = False) -> np.ndarray:
+        """K = pref sum_k A_k(x) G_k(y) over the grid xs x ys, or over the
+        pairs (xs[i], ys[i]), in floats at the context's digits."""
+        g = None if pairs else self._gaussians(ys)
+        out = []
+        for sl in _x_blocks(xs.size, 128 * (4 * self.n + (1 if pairs else ys.size))):
+            a = self._members(xs[sl])
+            out.append(np.sum(a * self._gaussians(ys[sl]).T, axis=1) if pairs else a @ g)
+        return self._pref * np.concatenate(out).astype(float)
+
+    def _certified(self, compute, xs: np.ndarray, scale=None) -> np.ndarray:
+        """``compute()`` at the working digits plus _CHECK_DIGITS, once it
+        agrees with itself at the working digits within 1e-15 of each value's
+        scale: the larger of its size and exp(scale(value)).  The first axis
+        of the values runs along xs."""
         while True:
-            m2 = 2 * m
-            vals2, noise2 = level(m2)
-            tol = np.maximum(rtol * np.abs(vals2), 4.0 * np.maximum(noise, noise2))
-            if np.all(np.abs(vals2 - vals) <= tol + 1e-300):
-                return self._realize(vals2, noise2), m2
-            if 2 * m2 > self.m_max:
+            hi, lo = [_at(self.digits + extra, compute) for extra in (_CHECK_DIGITS, 0)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                size = np.log(np.abs(hi))
+                if scale is not None:
+                    size = np.maximum(size, scale(hi))
+                # equal values pass, also at 0.0; values past the float range fail
+                ok = np.isfinite(hi) & (np.log(np.abs(hi - lo)) <= math.log(1e-15) + size)
+            if np.all(ok):
+                return hi
+            if self.digits + 2 * _CHECK_DIGITS > _MAX_DIGITS:
+                x = float(xs[np.argwhere(~ok)[0][0]])
                 raise NonConvergence(
-                    stall_msg.format(m_max=self.m_max, m=m, vals=vals, m2=m2, vals2=vals2)
+                    f"Lagrange kernel at n={self.n}, x={x!r} differs between {self.digits} "
+                    f"and {self.digits + _CHECK_DIGITS} digits; the cap is {_MAX_DIGITS}"
                 )
-            vals, noise, m = vals2, noise2, m2
+            self.digits += _CHECK_DIGITS
 
-    def _converged_rows(self, xs, ys, shift=0.0):
-        """K(xs[i], ys[i, j]) at one M, the largest any row needs."""
-        vals, m = self._doubled(
-            lambda m: self._rows(xs, ys, m, shift),
-            1e-8,
-            "node cap m_max={m_max} forbids doubling from m0={m}; "
-            "the quadrature cannot be verified",
-            "kernel quadrature not converged at cap {m_max}: "
-            "M={m} gave {vals}, M={m2} gave {vals2}",
-        )
-        self.quadrature_m = max(self.quadrature_m, m)
-        return vals
-
-    def _realize(self, vals, noise):
-        tol = np.maximum(1e-12 * np.abs(vals.real), 8.0 * noise) + 1e-300
-        if np.any(np.abs(vals.imag) > tol):
-            raise NonConvergence(
-                f"imaginary residue {np.max(np.abs(vals.imag)):.3e} exceeds "
-                "the realness tolerance"
-            )
-        return vals.real.copy()
-
-    # -- biorthogonal family ----------------------------------------------
-
-    def _p_hat_all(self, xs, shift=0.0):
-        """All n members of the polynomial half at each x, X x n, at one M."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        pref = math.sqrt(2.0 * self.n / self.t) / (2.0 * math.pi)
-
-        def level(m):
-            p1, b, bmag, scale = self._z_core(xs, m, shift)
-            top = (pref * np.exp(p1))[:, None]
-            return top * self._sign * b, top * bmag * (5e-16 * scale[:, None])
-
-        return self._doubled(
-            level, 1e-10, "node cap forbids doubling", "p-hat quadrature not converged at cap"
-        )[0]
+    def _diagonal(self, xs: np.ndarray) -> np.ndarray:
+        """K(x, x) at each x; each x is evaluated once per evaluator."""
+        new = np.array([x for x in dict.fromkeys(xs.tolist()) if x not in self._diag])
+        if new.size:
+            vals = self._certified(lambda: self._sums(new, new, pairs=True), new)
+            self._diag.update(zip(new.tolist(), vals.tolist()))
+        return np.array([self._diag[x] for x in xs.tolist()])
 
 
-def kernel_lagrange(ev: KernelEvaluator, x, y, contour_shift=0.0) -> float:
-    """Ungauged kernel value via the Lagrange quadrature route."""
-    return float(kernel_matrix(ev, x, y, contour_shift)[0, 0])
+def kernel_lagrange(ev: KernelEvaluator, x, y) -> float:
+    """Ungauged kernel value via the Lagrange route."""
+    return float(kernel_matrix(ev, x, y)[0, 0])
 
 
-def kernel_matrix(ev: KernelEvaluator, xs, ys, contour_shift=0.0) -> np.ndarray:
+def kernel_matrix(ev: KernelEvaluator, xs, ys) -> np.ndarray:
+    """Ungauged K(xs[i], ys[j]) via the Lagrange route."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    return ev._converged_rows(xs, ys[None, :], float(contour_shift))
+    diag = ev._diagonal(np.concatenate([xs, ys]))
+    if xs.size == ys.size == 1 and xs[0] == ys[0]:
+        return diag[:1, None]
+    half = np.log(diag, out=np.full(diag.shape, -np.inf), where=diag > 0.0) / 2.0
+    scale = half[: xs.size, None] + half[None, xs.size :] - gauge_log(ev, xs[:, None], ys[None, :])
+    return ev._certified(lambda: ev._sums(xs, ys), xs, lambda _: scale)
 
 
 def gauge_log(ev: KernelEvaluator, x, y):
@@ -252,21 +242,31 @@ def kernel_paper(ev: KernelEvaluator, x, y) -> float:
     return gauge_to_paper(ev, x, y, kernel_lagrange(ev, x, y))
 
 
+def _p_hat_all(ev: KernelEvaluator, xs) -> np.ndarray:
+    """Every member of the polynomial half at each x, X x n, within 1e-15 of
+    the largest member at its x."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    return ev._certified(
+        lambda: ev._pref * ev._members(xs).astype(float),
+        xs,
+        lambda hi: np.log(np.max(np.abs(hi), axis=1, keepdims=True)),
+    )
+
+
 def lagrange_p_hat(ev: KernelEvaluator, k, x) -> float:
-    """k-th member of the polynomial half of the biorthogonal pair."""
-    return float(ev._p_hat_all(x)[0, int(k)])
+    """k-th member of the polynomial half of the biorthogonal pair, pref A_k(x)."""
+    return float(_p_hat_all(ev, x)[0, int(k)])
 
 
 def biorthogonality_check(ev: KernelEvaluator) -> float:
     """Max deviation of the pairing matrix from the identity."""
-    n, t = ev.n, ev.t
-    s, w = _hermgauss(128)
-    c = math.sqrt(2.0 * t / n)
+    # exact for the p-hats, of degree n - 1, up to n = 256
+    s, w = np.polynomial.hermite.hermgauss(128)
+    c = math.sqrt(2.0 * ev.t / ev.n)
     # row k pairs every p-hat with the Gaussian around point k
-    nodes = ev.points[:, None] + c * s
-    pmat = ev._p_hat_all(nodes.ravel()).reshape(n, s.size, n)
+    pmat = np.stack([_p_hat_all(ev, a + c * s) for a in ev.points])
     pairing = c * (w[:, None] * pmat).sum(axis=1)
-    return float(np.max(np.abs(pairing - np.eye(n))))
+    return float(np.max(np.abs(pairing - np.eye(ev.n))))
 
 
 def _diag_interval(ev: KernelEvaluator) -> tuple[float, float]:
@@ -282,8 +282,7 @@ def kernel_trace(ev: KernelEvaluator, tol=1e-7) -> float:
     while panels <= 1024:
         edges = np.linspace(lo, hi, panels + 1)
         nodes, wts = panel_nodes(edges, 16)
-        diag = ev._converged_rows(nodes, nodes[:, None])[:, 0]
-        val = float(wts @ diag)
+        val = float(wts @ ev._diagonal(nodes))
         if prev is not None and abs(val - prev) <= max(tol, 1e-12 * ev.n):
             return val
         prev = val
@@ -298,8 +297,8 @@ def projection_defect(ev: KernelEvaluator, x, y) -> float:
     target = kernel_lagrange(ev, x, y)
     edges = np.linspace(lo, hi, 65)
     nodes, wts = panel_nodes(edges, 16)
-    row = ev._converged_rows(x, nodes[None, :])[0]
-    col = ev._converged_rows(nodes, [[y]])[:, 0]
+    row = kernel_matrix(ev, x, nodes)[0]
+    col = kernel_matrix(ev, nodes, y)[:, 0]
     return float(abs(np.sum(wts * row * col) - target))
 
 

@@ -102,55 +102,37 @@ class TestSinglePointClosedForm:
 
 
 class TestQuadrature:
-    def test_node_doubling_is_exact_for_polynomials(self):
-        cfg = InitialConfiguration.explicit([-1.0, 0.2, 0.9])
-        ev_a = KernelEvaluator(cfg, 0.5, m_nodes=64)
-        ev_b = KernelEvaluator(cfg, 0.5, m_nodes=256)
-        va = kernel_lagrange(ev_a, 0.3, -0.2)
-        vb = kernel_lagrange(ev_b, 0.3, -0.2)
-        assert va == pytest.approx(vb, rel=1e-12)
-
-    def test_contour_shift_invariance(self):
-        cfg = InitialConfiguration.explicit([-1.0, 0.2, 0.9])
+    def test_unverifiable_cap_raises(self, monkeypatch):
+        # uniform quantiles at n = 100 lose about 17 digits at x = 0, so 30
+        # and 50 digits disagree; a cap of 50 forbids the next pair
+        monkeypatch.setattr(kernel, "_MAX_DIGITS", kernel._START_DIGITS + kernel._CHECK_DIGITS)
+        cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), 100)
         ev = KernelEvaluator(cfg, 0.5)
-        base = kernel_lagrange(ev, 0.2, -0.4)
-        for shift in (0.3, -0.3):
-            moved = kernel_lagrange(ev, 0.2, -0.4, contour_shift=shift)
-            assert moved == pytest.approx(base, rel=1e-9)
+        with pytest.raises(NonConvergence, match=r"n=100, x=0\.0 differs between 30 and 50"):
+            kernel_lagrange(ev, 0.0, 0.0)
 
-    def test_unverifiable_cap_raises(self):
-        cfg = InitialConfiguration.explicit([-1.0, 0.2, 0.9])
-        ev = KernelEvaluator(cfg, 0.5, m_nodes=64, m_max=64)
-        with pytest.raises(NonConvergence):
-            kernel_lagrange(ev, 0.3, -0.2)
+    def test_three_point_heat_smoothed_basis(self):
+        # for n = 3, l_k is quadratic with l_k'' = 2/prod_{j!=k}(a_k - a_j),
+        # so A_k = exp(-(t/2n) d^2) l_k = l_k - (t/n)/prod_{j!=k}(a_k - a_j)
+        pts, t, n = [-1.0, 0.2, 0.9], 0.5, 3
+        ev = KernelEvaluator(pts, t)
+        pref = math.sqrt(2.0 * n / t) / (2.0 * math.sqrt(math.pi))
+        for x in (-1.3, 0.0, 0.37, 2.0):
+            for k, a in enumerate(pts):
+                others = [b for b in pts if b != a]
+                den = (a - others[0]) * (a - others[1])
+                ell = (x - others[0]) * (x - others[1]) / den
+                assert lagrange_p_hat(ev, k, x) / pref == pytest.approx(
+                    ell - (t / n) / den, rel=1e-14
+                ), (x, k)
 
-    def test_one_z_line_pass_per_node_count(self, monkeypatch):
-        # every x of a kernel matrix and every node of the biorthogonality
-        # check go through the z-line sums together, once per doubling level
-        cfg = InitialConfiguration.explicit([-1.0, 0.2, 0.9])
+    @pytest.mark.parametrize("n, exact", [(100, 0.340652), (200, 0.341715)])
+    def test_exact_bulk_density_at_large_n(self, n, exact):
+        # K(0,0)/n for uniform quantiles at t = 0.5, whose terms cancel by
+        # about 17 and 35 orders of magnitude; psi_t(0) = 0.342780
+        cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), n)
         ev = KernelEvaluator(cfg, 0.5)
-        core, calls = ev._z_core, []
-        monkeypatch.setattr(
-            ev, "_z_core", lambda xs, m, shift: calls.append(m) or core(xs, m, shift)
-        )
-        for check in (
-            lambda: kernel_matrix(ev, np.linspace(-1.0, 1.0, 5), [0.1, 0.4]),
-            lambda: biorthogonality_check(ev),
-        ):
-            calls.clear()
-            check()
-            assert len(calls) >= 2
-            assert calls == [ev.m0 << k for k in range(len(calls))]
-
-    @pytest.mark.parametrize("m", [512, 1024])
-    def test_noise_finite_with_underflowing_weights(self, m):
-        # from M = 512 on some Gauss-Hermite weights underflow to exactly 0;
-        # an infinite noise estimate would accept any pair of values
-        cfg = InitialConfiguration.explicit([-1.0, 0.2, 0.9])
-        ev = KernelEvaluator(cfg, 0.5, m_nodes=256)
-        vals, noise = ev._rows(0.3, np.array([-0.2]), m, 0.0)
-        assert np.all(np.isfinite(noise))
-        assert noise[0] < 1e-10 * abs(vals[0])
+        assert kernel_lagrange(ev, 0.0, 0.0) / n == pytest.approx(exact, abs=1e-6)
 
 
 class TestDuplicateSplitting:
@@ -623,6 +605,28 @@ def test_sub_threshold_products_match_lagrange():
         ref = frame.h**2 * kernel_lagrange(ev, x_u, x_v) * kernel_lagrange(ev, x_v, x_u)
         got = frame.value(u, v) * frame.value(v, u)
         assert got == pytest.approx(ref, rel=1e-4), (u, v, got, ref)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("kind", ["uniform", "power-half-t_n"])
+def test_frame_matches_exact_lagrange(kind, n):
+    # where every saddle of the grid is complex, the frame against the exact
+    # route: diagonals within the frame's dc_tol, relative, and the
+    # gauge-free products K(u,v)K(v,u) within 1e-6 of the grid's largest
+    if kind == "uniform":
+        mu, t = MeasureSpec.uniform(-1.0, 1.0), 0.5
+    else:
+        mu = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
+        t = 0.05 * n ** (-1.0 / 3.0) * math.log(n) ** 2
+    cfg = InitialConfiguration.from_quantiles(mu, n)
+    frame = RescaledKernelFrame(cfg, t, make_window(mu, t, 0.0))
+    grid = np.array([0.0, 0.5, 1.0, 2.0])
+    got = frame.values(grid, grid)
+    xs = frame.window.x_star_t + frame.h * grid
+    ref = frame.h * kernel_matrix(KernelEvaluator(cfg, t), xs, xs)
+    np.testing.assert_allclose(np.diag(got), np.diag(ref), rtol=frame.dc_tol, atol=0.0)
+    prod, ref_prod = got * got.T, ref * ref.T
+    assert np.max(np.abs(prod - ref_prod)) <= 1e-6 * np.max(np.abs(ref_prod))
 
 
 def test_frame_solves_new_saddles_in_one_inverse_call(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -177,15 +178,24 @@ def test_quantiles_solve_all_levels_together(mu, monkeypatch):
 
 
 def test_import_does_not_load_scipy():
+    # neither the import nor the Lagrange route, kernel through Fredholm
+    # determinant, loads scipy
     src = str(Path(dbmlab.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import dbmlab; "
         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    route = str(Path(__file__).parent / "data" / "lagrange_route.py")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for args in (["-c", code], [route]):
+        out = subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "False", args
 
 
 def test_quantile_levels_hit_cdf():
