@@ -9,6 +9,7 @@ well conditioned.  Nodes double until two successive determinants agree to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class GapProblem:
 
     def __init__(self, kernel, interval, m: int = 8):
         a, b = float(interval[0]), float(interval[1])
-        if not (a < b):
-            raise ConfigError(f"interval must satisfy a < b, got [{a}, {b}]")
+        if not -math.inf < a < b < math.inf:
+            raise ConfigError(f"interval must be finite with a < b, got [{a}, {b}]")
         if m < 8:
             raise ConfigError(f"node count must be at least 8, got {m}")
         self.kernel = kernel

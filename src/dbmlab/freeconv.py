@@ -74,6 +74,11 @@ def _atoms(mu):
     return mu.points if isinstance(mu, InitialConfiguration) else None
 
 
+def _closed(mu):
+    """Whether mu is a density with closed forms for G and the Lorentz sums."""
+    return _atoms(mu) is None and mu.kind in ("semicircle", "uniform")
+
+
 def _check_finite(x, name="x"):
     """ConfigError unless every value of x, a scalar or an array, is finite."""
     bad = np.extract(~np.isfinite(x), x)
@@ -128,7 +133,7 @@ def _cauchy_panels(mu, z):
 
 
 def _stieltjes_spec(mu, zz):
-    if mu.kind in ("semicircle", "uniform"):
+    if _closed(mu):
         return complex(_stieltjes_closed(mu, zz))
     return _cauchy_panels(mu, zz)
 
@@ -298,13 +303,6 @@ def t_critical(mu, x_star):
 # subordination height
 
 
-def _chunked_rows(n, budget=1 << 17):
-    """Rows per block of an n-column temporary: 1 MB blocks of float64.  Larger
-    temporaries, of a size that changes as Newton's active set shrinks, stay
-    resident on the malloc heap."""
-    return max(1, budget // max(n, 1))
-
-
 def _closed_lorentz_sums(mu, xs, big_y):
     """L and M = -dL/dY for the semicircle and uniform kinds, from G and G'.
 
@@ -383,19 +381,14 @@ def _rule_rows(mu, xs, y):
 
 def _row_lorentz_sums(dx2, weights, big_y):
     """L and M = -dL/dY with one row of squared distances (x - s)^2 to the
-    nodes and one row of weights per point."""
-    inv = 1.0 / (dx2 + big_y[:, None])
+    nodes and one row of weights per point, or one for all.  Each sum reduces
+    its own row; a matrix-vector product would round each one differently
+    with the rows around it."""
+    inv = np.add(dx2, big_y[:, None])
+    np.reciprocal(inv, out=inv)
     lsum = np.einsum("ij,ij->i", inv, weights)
     msum = np.einsum("ij,ij->i", np.multiply(inv, inv, out=inv), weights)
     return lsum, msum
-
-
-def _atom_lorentz_sums(dx2, weights, big_y):
-    """L and M = -dL/dY with one row of squared distances (x - s)^2 to the
-    atoms per point and one weight vector for all, so that each sum is one
-    matrix-vector product."""
-    inv = 1.0 / (dx2 + big_y[:, None])
-    return inv @ weights, np.multiply(inv, inv, out=inv) @ weights
 
 
 # points per block of panel rules, set by memory: a rule has up to about
@@ -405,6 +398,10 @@ def _atom_lorentz_sums(dx2, weights, big_y):
 # and the power density's 201-point psi allocates 3.1 MB at its peak (6.1 MB
 # at 32, no faster); at 8 it runs 8% slower.  Rows do not depend on it.
 _RULE_BLOCK = 16
+# float64 entries per block of an n-column temporary of atom sums, 1 MB: larger
+# temporaries, of a size that changes as Newton's active set shrinks, stay
+# resident on the malloc heap
+_ATOM_BLOCK = 1 << 17
 _NEWTON_CAP = 64
 # an inverse-map bracket narrower than _XTOL + _RTOL |x| has settled
 _XTOL, _RTOL = 1e-10, 8.9e-16
@@ -476,10 +473,10 @@ class FreeConvolutionState:
 
     Every height y_t(x), at one point or along a profile, comes from one
     Newton solver (``_newton_heights``), and H along the graph from the
-    same integrals: closed forms for the semicircle and uniform kinds,
-    sums over the atoms of configurations, and one graded panel rule
-    per point (a row of ``_rule_rows``), shared by y and G, for the other
-    kinds.
+    same integrals: closed forms for the semicircle and uniform kinds, else
+    one weighted sum per point, shared by y and G, over the atoms of a
+    configuration or over the point's graded panel rule (a row of
+    ``_rule_rows``).
     H is increasing along the graph, so the cached graph brackets every xi
     at once and ``inverse`` solves H = xi for a whole array in one
     root-finding loop.
@@ -540,66 +537,64 @@ class FreeConvolutionState:
     # ------------------------------------------------------------ profiles
 
     def _y_profile(self, xs):
-        """Heights y(x) alone: on atoms, G costs the frame's loop a second pass."""
-        mu, t = self.mu, self.t
-        pts = _atoms(mu)
-        if pts is not None:
-            # (x - s)^2 once per block of rows, reused at every Newton step
-            weights = np.full(pts.size, 1.0 / pts.size)
-            ys = np.empty(xs.size)
-            block = _chunked_rows(pts.size)
-            for j in range(0, xs.size, block):
-                dx2 = (xs[j : j + block, None] - pts) ** 2
-                ys[j : j + block] = _newton_heights(
-                    lambda i, big_y: _atom_lorentz_sums(dx2[i], weights, big_y),
-                    t, dx2.shape[0],
-                )
-            return ys
-        if mu.kind in ("semicircle", "uniform"):
+        """Heights y(x) alone."""
+        mu = self.mu
+        if _closed(mu):
             return _newton_heights(
-                lambda i, big_y: _closed_lorentz_sums(mu, xs[i], big_y), t, xs.size
+                lambda i, big_y: _closed_lorentz_sums(mu, xs[i], big_y), self.t, xs.size
             )
-        return self._graph_points(xs)[0]
+        return self._row_points(xs, False)[0]
 
     def _graph_points(self, xs):
         """Heights y(x) and G(x + i y(x)), one evaluation per point."""
+        if _closed(self.mu):
+            ys = self._y_profile(xs)
+            return ys, _stieltjes_closed(self.mu, xs + 1j * ys)
+        return self._row_points(xs, True)
+
+    def _row_points(self, xs, with_g):
+        """Heights y(x), and G(x + i y(x)) if ``with_g``, from one row of
+        nodes s and weights w per point: the atoms, each of weight 1/n, for
+        a configuration, else the point's panel rule.
+
+        Every sum reduces its own row, so a height, and the G at it, is
+        bitwise a function of its x alone: neither the other points of the
+        call nor the block size change it.
+        """
         mu = self.mu
         pts = _atoms(mu)
+        ys = np.empty(xs.size)
         g = np.empty(xs.size, dtype=complex)
         if pts is not None:
-            ys = self._y_profile(xs)
-            block = _chunked_rows(pts.size)
-            for i in range(0, xs.size, block):
-                sl = slice(i, i + block)
-                dx = xs[sl, None] - pts[None, :]
-                d2 = dx**2 + ys[sl, None] ** 2
-                g.real[sl] = np.mean(dx / d2, axis=1)
-                g.imag[sl] = -ys[sl] * np.mean(np.reciprocal(d2, out=d2), axis=1)
-            return ys, g
-        if mu.kind in ("semicircle", "uniform"):
-            ys = self._y_profile(xs)
-            return ys, _stieltjes_closed(mu, xs + 1j * ys)
-        # one rule per point, graded at Newton's start height: it resolves
-        # every Lorentzian of width y met on the way up to the root, and the
-        # one at the root that G integrates against
-        ys = np.empty(xs.size)
-        for j in range(0, xs.size, _RULE_BLOCK):
-            sl = slice(j, j + _RULE_BLOCK)
+            # one weight row, broadcast against every row of the block
+            nodes, weights = pts[None, :], np.full((1, pts.size), 1.0 / pts.size)
+        block = _RULE_BLOCK if pts is None else max(1, _ATOM_BLOCK // pts.size)
+        for j in range(0, xs.size, block):
+            sl = slice(j, j + block)
             x = xs[sl]
-            nodes, weights = _rule_rows(mu, x, _Y_START * self.sqrt_t)
+            if pts is None:
+                # one rule per point, graded at Newton's start height: it
+                # resolves every Lorentzian of width y met on the way up to
+                # the root, and the one at the root that G integrates against
+                nodes, weights = _rule_rows(mu, x, _Y_START * self.sqrt_t)
+            # (x - s)^2 once per block, reused at every Newton step
             dx = x[:, None] - nodes
             dx2 = dx**2
             ys[sl] = y = _newton_heights(
-                lambda i, big_y: _row_lorentz_sums(dx2[i], weights[i], big_y),
+                lambda i, big_y: _row_lorentz_sums(
+                    dx2[i], weights if pts is not None else weights[i], big_y
+                ),
                 self.t, x.size,
             )
-            d2 = dx2 + y[:, None] ** 2
-            g.real[sl] = np.einsum("ij,ij->i", weights, dx / d2)
-            g.imag[sl] = -y * np.einsum("ij,ij->i", weights, 1.0 / d2)
-        # on-support points pinched to the axis need the principal value
-        for i in np.nonzero(ys == 0.0)[0]:
-            if _support_distance(mu, xs[i]) == 0.0:
-                g[i] = hilbert_transform(mu, xs[i])
+            if with_g:
+                d2 = dx2 + y[:, None] ** 2
+                g.real[sl] = np.einsum("ij,ij->i", weights, dx / d2)
+                g.imag[sl] = -y * np.einsum("ij,ij->i", weights, np.reciprocal(d2, out=d2))
+        if with_g and pts is None:
+            # on-support points pinched to the axis need the principal value
+            for i in np.nonzero(ys == 0.0)[0]:
+                if _support_distance(mu, xs[i]) == 0.0:
+                    g[i] = hilbert_transform(mu, xs[i])
         return ys, g
 
     def _h_graph(self, xs):

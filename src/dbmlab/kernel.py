@@ -26,7 +26,7 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import ConfigError, NonConvergence
-from .freeconv import FreeConvolutionState, Window, window_scale
+from .freeconv import FreeConvolutionState, Window, _check_finite, window_scale
 from .measures import _extract_points
 from .panels import panel_nodes
 
@@ -121,6 +121,7 @@ class KernelEvaluator:
         self.n = int(self.points.size)
         self.t = t
         self.x0 = float(x0)
+        _check_finite(self.x0, "x0")
         self.digits = _START_DIGITS
         self._pref = math.sqrt(2.0 * self.n / t) / (2.0 * math.sqrt(math.pi))
         self._a = np.array([Decimal(v) for v in self.points.tolist()], dtype=object)
@@ -215,6 +216,8 @@ def kernel_matrix(ev: KernelEvaluator, xs, ys) -> np.ndarray:
     """Ungauged K(xs[i], ys[j]) via the Lagrange route."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    _check_finite(xs, "xs")
+    _check_finite(ys, "ys")
     diag = ev._diagonal(np.concatenate([xs, ys]))
     if xs.size == ys.size == 1 and xs[0] == ys[0]:
         return diag[:1, None]
@@ -386,11 +389,10 @@ class RescaledKernelFrame:
         self._saddles: dict[float, tuple[complex, float]] = {}
         self._pairs: dict[tuple[float, float], float] = {}
         self._far_lumps: dict[tuple[int, int], tuple | None] = {}
-        # heights solved on the home lump of each contour, keyed by
-        # (lump, x0, s, width), and on each lump away from x0, keyed by the
-        # lump: sorted x and y(x)
-        self._home_heights: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._far_heights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # loop heights solved on each lump, keyed by the lump: sorted x and
+        # y(x).  A height is bitwise a function of its x, so one store serves
+        # every contour through the lump
+        self._heights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # largest node count, both contours and both halves, of an accepted row
         self.quadrature_m = 0
         # Re z_saddle(0), reported as the frame's anchor
@@ -534,33 +536,28 @@ class RescaledKernelFrame:
             mids.append(right[1])
         return np.concatenate(verts), np.concatenate(mids)
 
-    def _lump_nodes(self, lo, hi, x0, s, width, level, home, key):
-        """One lump's loop nodes and steps, with B and L at the nodes.
-
-        ``home`` says whether the lump holds x0; ``key`` is the lump's key
-        in the matching height store.
-        """
-        vx, mx = self._lump_grid(lo, hi, x0, s, width, level, home)
+    def _lump_nodes(self, k, x0, s, width, level):
+        """Lump k's loop nodes and steps, with B and L at the nodes."""
+        lo, hi = self._lumps[k]
+        vx, mx = self._lump_grid(lo, hi, x0, s, width, level, lo <= x0 <= hi)
         if vx.size < 2:
             return None
-        xs = np.concatenate([vx, mx])
-        store = self._home_heights if home else self._far_heights
-        ally = self._stored_profile(store, key, xs)
+        ally = self._stored_profile(k, np.concatenate([vx, mx]))
         nodes = mx + 1j * ally[vx.size :]
         return (nodes, np.diff(vx + 1j * ally[: vx.size]), *self._phi_parts(nodes))
 
-    def _stored_profile(self, store, key, xs):
-        """Heights at xs on one lump, each solved once per key of the store.
+    def _stored_profile(self, k, xs):
+        """Heights at xs on lump k, each solved once per frame.
 
         A home grid's vertices at one level are the vertices and midpoints of
         the level before, and another call on the same contour asks for the
         same grids again; a far lump's cosine grid at one level holds every
         vertex of the level before.  Points already solved are read back
-        exactly, the rest go to Newton and join the store.  Home heights are
-        keyed by contour and a far lump's levels come in order, so a row's
-        values do not depend on which other contours came first.
+        exactly, the rest go to Newton and join the store.  A height does
+        not depend on which points Newton solved it with, so a row's values
+        do not depend on which other contours came first.
         """
-        kx, ky = store.get(key, (np.empty(0), np.empty(0)))
+        kx, ky = self._heights.get(k, (np.empty(0), np.empty(0)))
         i = np.searchsorted(kx, xs)
         hit = i < kx.size
         hit[hit] = kx[i[hit]] == xs[hit]
@@ -570,7 +567,7 @@ class RescaledKernelFrame:
         if miss.any():
             ys[miss] = self.state._y_profile(xs[miss])
             kx, first = np.unique(np.concatenate([kx, xs[miss]]), return_index=True)
-            store[key] = (kx, np.concatenate([ky, ys[miss]])[first])
+            self._heights[k] = (kx, np.concatenate([ky, ys[miss]])[first])
         return ys
 
     def _w_contour(self, x0: float, s: float, width: float, level: int):
@@ -580,17 +577,12 @@ class RescaledKernelFrame:
             if hi <= lo:
                 continue
             if lo <= x0 <= hi:
-                part = self._lump_nodes(
-                    lo, hi, x0, s, width, level, True, (k, x0, s, width)
-                )
+                part = self._lump_nodes(k, x0, s, width, level)
             else:
                 # away from x0 a lump's grid depends on (lump, level) alone
-                key = (k, level)
-                if key not in self._far_lumps:
-                    self._far_lumps[key] = self._lump_nodes(
-                        lo, hi, x0, s, width, level, False, k
-                    )
-                part = self._far_lumps[key]
+                if (k, level) not in self._far_lumps:
+                    self._far_lumps[k, level] = self._lump_nodes(k, x0, s, width, level)
+                part = self._far_lumps[k, level]
             if part is not None:
                 parts.append(part)
         if not parts:

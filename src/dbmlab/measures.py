@@ -341,8 +341,12 @@ def insert_gap(points, x_star, half_width):
     A point exactly at the center goes to the left edge. Order and count
     are preserved (projection is monotone).
     """
-    if not half_width > 0.0:
-        raise ConfigError("gap half-width must be positive")
+    x_star, half_width = float(x_star), float(half_width)
+    if not (math.isfinite(x_star) and 0.0 < half_width < math.inf):
+        raise ConfigError(
+            "a gap needs a finite center and a positive finite half-width, "
+            f"got {x_star} and {half_width}"
+        )
     pts = np.asarray(points, dtype=float).copy()
     left = x_star - half_width
     right = x_star + half_width

@@ -80,11 +80,12 @@ def _certified(y: np.ndarray):
     eigenvalues, the eigenvectors and the largest residual column norm."""
     scale = float(np.linalg.norm(y))
     herm = float(np.max(np.abs(y - y.conj().T)))
-    if herm > _HERMITICITY_TOL * max(1.0, scale):
+    # a NaN compares false, so the checks are written to fail on it
+    if not herm <= _HERMITICITY_TOL * max(1.0, scale):
         raise ConfigError(f"matrix is not Hermitian: asymmetry {herm:.3e}")
     vals, vecs = np.linalg.eigh(y)
     residual = float(np.max(np.linalg.norm(y @ vecs - vecs * vals, axis=0)))
-    if residual > _RESIDUAL_TOL * max(1.0, scale):
+    if not residual <= _RESIDUAL_TOL * max(1.0, scale):
         raise NonConvergence(
             f"eigensolver residual {residual:.3e} exceeds "
             f"{_RESIDUAL_TOL:g} * ||Y|| = {_RESIDUAL_TOL * scale:.3e}"
@@ -135,10 +136,12 @@ def sample_spectra(
     threads = default_threads() if threads is None else int(threads)
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ConfigError(f"sample count must be at least 1, got {n_samples}")
     pts = _extract_points(config)
     t = _time(t)
     sampler = GueSampler(pts.size, seed)
-    n_samples = int(n_samples)
     out = np.empty((n_samples, pts.size))
 
     def work(first: int) -> None:
@@ -217,7 +220,11 @@ def empirical_density(samples: np.ndarray, bin_edges) -> DensityHistogram:
 def empirical_gap_frequency(samples: np.ndarray, interval) -> tuple[float, float]:
     """Fraction of samples with no eigenvalue in [a, b], with binomial SE."""
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[0] == 0:
+        raise ConfigError(f"samples must be a nonempty stack of spectra, not {samples.shape}")
     a, b = float(interval[0]), float(interval[1])
+    if not -math.inf < a <= b < math.inf:
+        raise ConfigError(f"interval must be finite with a <= b, got [{a}, {b}]")
     hit = np.any((samples >= a) & (samples <= b), axis=1)
     freq = float(1.0 - hit.mean())
     se = float(np.sqrt(freq * (1.0 - freq) / samples.shape[0]))

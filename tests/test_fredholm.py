@@ -35,6 +35,10 @@ class TestSineGap:
         with pytest.raises(ConfigError):
             sine_gap(-0.1)
 
+    def test_infinite_length_rejected(self):
+        with pytest.raises(ConfigError):
+            sine_gap(np.inf)
+
     def test_matches_explicit_problem(self):
         prob = GapProblem(sine_kernel, (0.0, 0.1))
         assert sine_gap(0.1) == gap_probability(prob).raw_det
@@ -51,6 +55,14 @@ class TestGapProblem:
             GapProblem(sine_kernel, (1.0, 1.0))
         with pytest.raises(ConfigError):
             GapProblem(sine_kernel, (2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "interval", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)]
+    )
+    def test_nonfinite_interval_rejected(self, interval):
+        # rejected before any determinant is taken
+        with pytest.raises(ConfigError):
+            GapProblem(sine_kernel, interval)
 
     def test_node_floor_rejected(self):
         with pytest.raises(ConfigError):

@@ -649,6 +649,29 @@ def test_inverse_on_a_graph_where_H_dips():
 GAPPED = MeasureSpec.piecewise([((-1.0, -0.5), (1.0,)), ((0.5, 1.0), (1.0,))])
 
 
+@pytest.mark.parametrize(
+    "mu, t",
+    [
+        *((InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), n), 0.5)
+          for n in (50, 100, 200)),
+        (MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)), 0.2285),
+    ],
+    ids=["uniform-n50", "uniform-n100", "uniform-n200", "power-half"],
+)
+def test_heights_do_not_depend_on_the_batch(mu, t):
+    # every sum reduces its own row, so a height, and G at it, is bitwise a
+    # function of its x: solved with 428 other points or on its own, it is
+    # the same double
+    state = FreeConvolutionState(mu, t)
+    xs = np.linspace(-1.6, 1.6, 429)
+    ys, g = state._graph_points(xs)
+    np.testing.assert_array_equal(state._y_profile(xs), ys)
+    for k in range(xs.size):
+        y1, g1 = state._graph_points(xs[k : k + 1])
+        assert state._y_profile(xs[k : k + 1]) == y1 == ys[k], xs[k]
+        assert g1 == g[k], xs[k]
+
+
 def test_batched_graph_points_match_single_points():
     # rows padded to the widest rule must add nothing, also at x = 0, y = 0
     state = FreeConvolutionState(GAPPED, 0.01)

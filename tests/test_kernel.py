@@ -157,6 +157,24 @@ class TestTimeChecks:
         with pytest.raises(ConfigError):
             KernelEvaluator(InitialConfiguration.explicit([-1.0, 1.0]), t)
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf])
+    def test_evaluator_rejects_nonfinite_gauge_point(self, x0):
+        with pytest.raises(ConfigError):
+            KernelEvaluator(InitialConfiguration.explicit([-1.0, 1.0]), 0.5, x0=x0)
+
+    def test_lagrange_route_rejects_nonfinite_points(self):
+        # before any working digits are spent on them
+        ev = KernelEvaluator(InitialConfiguration.explicit([-1.0, 0.0, 1.0]), 0.5)
+        for call in (
+            lambda: kernel_matrix(ev, [0.0, math.nan], [0.0]),
+            lambda: kernel_matrix(ev, [0.0], [math.inf]),
+            lambda: kernel_lagrange(ev, math.nan, 0.0),
+            lambda: correlation_function(ev, [0.0, -math.inf]),
+        ):
+            with pytest.raises(ConfigError):
+                call()
+        assert not ev._diag
+
     def test_frame_rejects_window_at_another_time(self):
         # read on a window built at another t, the frame's values are wrong
         cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), 20)
@@ -682,12 +700,16 @@ def test_home_heights_solved_once_across_levels(monkeypatch):
     assert sum(solved.values()) < 0.7 * sum(asked.values())
 
 
-def test_far_heights_solved_once_across_levels(monkeypatch):
-    # a far lump's cosine grid at level l + 1 holds every vertex of level l;
-    # on the frame of bench/configs/gap.conf no lump holds the real anchor
+def _gap_conf_frame():
+    # the frame of bench/configs/gap.conf: no lump holds the real anchor
     cfg = InitialConfiguration.equispaced(-1.0, 1.0, 100).with_gap(0.0, 0.3)
     t = 0.01 * 0.3**2
-    frame = RescaledKernelFrame(cfg, t, gap_window(cfg, t, 0.0, epsilon=0.03))
+    return RescaledKernelFrame(cfg, t, gap_window(cfg, t, 0.0, epsilon=0.03))
+
+
+def test_far_heights_solved_once_across_levels(monkeypatch):
+    # a far lump's cosine grid at level l + 1 holds every vertex of level l
+    frame = _gap_conf_frame()
     grid = np.linspace(-2.0, 2.0, 9)
     frame._saddles_at([0.0, *grid])
     asked, solved = _record_home_solves(frame, monkeypatch, home=False)
@@ -713,17 +735,31 @@ def test_home_heights_reused_by_a_later_call(monkeypatch):
 
 
 def test_home_heights_match_a_cold_solve():
-    # a read-back height is the double Newton returned, never an interpolant
-    frame = _bulk_uniform_frame(100)
-    grid = np.asarray(frame.window.u_grid)
-    frame.values(grid, grid)
-    cold = FreeConvolutionState(frame.points, frame.t)
-    bound = 1e-14 * math.sqrt(frame.t)
-    assert frame._home_heights
-    for kx, ky in frame._home_heights.values():
-        assert np.all(np.diff(kx) > 0.0)
-        assert np.max(np.abs(ky - cold._y_profile(kx))) <= bound
-    za = frame._saddles_at((0.0,))[0][0]
-    width = 1.0 / math.sqrt(frame._beta(za.real, za.imag))
-    wn = frame._w_contour(za.real, za.imag, width, 2)[0]
-    assert np.max(np.abs(wn.imag - cold._y_profile(wn.real))) <= bound
+    # a read-back height is the double Newton returns for its x alone, never
+    # an interpolant, whichever points it was solved with: on the n = 100
+    # bulk frame and on the frame of bench/configs/gap.conf
+    bulk = _bulk_uniform_frame(100)
+    for frame in (bulk, _gap_conf_frame()):
+        grid = np.asarray(frame.window.u_grid)
+        frame.values(grid, grid)
+        cold = FreeConvolutionState(frame.points, frame.t)
+        assert frame._heights
+        for kx, ky in frame._heights.values():
+            assert np.all(np.diff(kx) > 0.0)
+            np.testing.assert_array_equal(ky, cold._y_profile(kx))
+    cold = FreeConvolutionState(bulk.points, bulk.t)
+    za = bulk._saddles_at((0.0,))[0][0]
+    width = 1.0 / math.sqrt(bulk._beta(za.real, za.imag))
+    wn = bulk._w_contour(za.real, za.imag, width, 2)[0]
+    np.testing.assert_array_equal(wn.imag, cold._y_profile(wn.real))
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_saddles_do_not_depend_on_the_batch(n):
+    # a saddle is bitwise a function of its coordinate: solved in one
+    # inverse call with 32 others or on its own, it is the same double
+    grid = np.linspace(-2.0, 2.0, 33)
+    together = _bulk_uniform_frame(n)._saddles_at(grid)
+    alone = _bulk_uniform_frame(n)
+    for u, got in zip(grid, together):
+        assert alone._saddles_at((u,))[0] == got, u

@@ -273,6 +273,18 @@ def test_insert_gap_endpoints_untouched():
     assert np.allclose(out, pts)
 
 
+@pytest.mark.parametrize(
+    "x_star, half_width",
+    [(math.nan, 0.3), (math.inf, 0.3), (0.0, math.nan), (0.0, math.inf), (0.0, 0.0), (0.0, -0.1)],
+)
+def test_insert_gap_rejects_a_bad_gap(x_star, half_width):
+    # a NaN center or width compares false everywhere and would move no point
+    with pytest.raises(ConfigError):
+        insert_gap(np.array([-0.1, 0.1]), x_star, half_width)
+    with pytest.raises(ConfigError):
+        InitialConfiguration.equispaced(-1.0, 1.0, 10).with_gap(x_star, half_width)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40),

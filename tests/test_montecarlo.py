@@ -300,6 +300,36 @@ class TestErrors:
         with pytest.raises(ConfigError):
             sample_spectra(cfg, 0.5, 2, seed=-1)
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_empty_sample_count_rejected(self, no_eigensolve, n_samples):
+        cfg = InitialConfiguration.explicit([-1.0, 0.0, 1.0])
+        with pytest.raises(ConfigError):
+            sample_spectra(cfg, 0.5, n_samples, threads=1)
+
+    def test_empty_samples_rejected(self):
+        with pytest.raises(ConfigError):
+            empirical_gap_frequency(np.empty((0, 3)), (-0.1, 0.1))
+
+    @pytest.mark.parametrize(
+        "interval", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 0.0), (0.5, -0.5)]
+    )
+    def test_bad_gap_interval_rejected(self, interval):
+        with pytest.raises(ConfigError):
+            empirical_gap_frequency(np.zeros((2, 3)), interval)
+
+    def test_nonfinite_matrix_rejected(self):
+        # a NaN compares false against any tolerance, so it must fail the check
+        with pytest.raises(ConfigError):
+            eigenvalues(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+    def test_nonfinite_residual_raises(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda y: (eigh(y)[0], np.full(y.shape, math.nan))
+        )
+        with pytest.raises(NonConvergence):
+            eigenvalues(np.eye(2))
+
     def test_negative_sample_index_rejected(self, no_eigensolve):
         cfg = InitialConfiguration.explicit([-1.0, 0.0, 1.0])
         with pytest.raises(ConfigError):
