@@ -4,17 +4,18 @@ Two independent evaluation routes are kept deliberately separate so that one
 can certify the other.  The first is a closed form, the w-residues of the
 Brezin-Hikami / Johansson double contour integral: K(x, y) = sqrt(2n/t) /
 (2 sqrt(pi)) sum_k A_k(x) exp(-n (a_k - y)^2 / (2t)), with A_k the Lagrange
-basis polynomial of source point a_k smoothed by the heat flow.  Its terms
-cancel by up to 35 orders of magnitude at n = 200, so they are summed in
-decimal, at working digits that rise until each value agrees within 1e-15 of
-its scale with itself at 20 digits more; a value below the float range
-becomes 0.0 only when converted.  The second route discretizes the double
-contour representation directly: a vertical line through the real part of
-the z-saddle, and a loop following the graph of the local spectral
-half-width around the source points.  All exponentials are referenced to
-their saddle values, which keeps every factor at or below one in modulus
-along the descent paths; this route scales to large ``n`` and is what the
-rescaled observation frames use.
+basis polynomial of source point a_k smoothed by the heat flow.  The k-sum is
+taken in Newton form at the points in Leja order, confluent where a point
+repeats.  Its divided differences and heat recurrence lose up to tens of
+digits to cancellation, so it is summed in decimal, at working digits that
+rise until each value agrees within 1e-15 of its scale with itself at 20
+digits more; a value below the float range becomes 0.0 only when converted.
+The second route discretizes the double contour representation directly: a
+vertical line through the real part of the z-saddle, and a loop following
+the graph of the local spectral half-width around the source points.  All
+exponentials are referenced to their saddle values, which keeps every
+factor at or below one in modulus along the descent paths; this route
+scales to large ``n`` and is what the rescaled observation frames use.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .panels import panel_nodes
 # e^-60: below any tolerance this module promises, with margin for sums
 _DROP_CUTOFF = 60.0
 
-# bytes of one block's largest temporary: an x-block of the Lagrange sums,
+# bytes of one block's largest temporary: an x- or y-block of the Lagrange sums,
 # the stacked real Cauchy blocks of a w-block in _loop_sum or any product
 # made from them, or each real temporary of a q-block in
 # RescaledKernelFrame._phi_parts
@@ -61,41 +62,32 @@ def sine_kernel(u, v):
     return out
 
 
-def _split_duplicates(pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Separate exactly coincident points of a sorted set symmetrically by a
-    relative eps."""
-    if pts.size == 1 or np.all(np.diff(pts) > 0.0):
-        return pts, 0.0
-    spread = float(pts[-1] - pts[0])
-    eps = 1e-9 * (spread if spread > 0.0 else max(1.0, abs(float(pts[0]))))
-    # each run of k equal points moves by (rank - (k - 1) / 2) eps
-    _, first, k = np.unique(pts, return_index=True, return_counts=True)
-    rank = np.arange(pts.size) - np.repeat(first, k)
-    out = pts + (rank - (np.repeat(k, k) - 1) / 2.0) * eps
-    if np.any(np.diff(out) <= 0.0):
-        raise ConfigError(
-            "duplicate points too tightly clustered to split; "
-            "separate them by more than the splitting eps"
-        )
-    return out, eps
+def _newton_order(pts: np.ndarray) -> np.ndarray:
+    """Indices of the sorted points in Newton order: the distinct points in
+    Leja order from the one of largest modulus, each as often as it occurs."""
+    vals, first, counts = np.unique(pts, return_index=True, return_counts=True)
+    logd, order = np.zeros(vals.size), [int(np.argmax(np.abs(vals)))]
+    with np.errstate(divide="ignore"):
+        for _ in range(vals.size - 1):
+            # the next point is farthest, by product of distances, from those taken
+            logd += np.log(np.abs(vals - vals[order[-1]]))
+            order.append(int(np.argmax(logd)))
+    return np.concatenate([first[k] + np.arange(counts[k]) for k in order])
 
 
-def _lagrange_table(a: np.ndarray) -> np.ndarray:
-    """Monomial coefficients of each l_k, low powers first, in column k:
-    P(w) = prod (w - a_j) expanded once, divided synthetically by each
-    w - a_k and by prod_{j != k} (a_k - a_j)."""
-    n = a.size
-    diffs = a[:, None] - a[None, :]
-    np.fill_diagonal(diffs, Decimal(1))
-    p = np.full(n + 1, Decimal(0), dtype=object)
-    p[0] = Decimal(1)
-    for j, r in enumerate(a):  # P *= w - a_j
-        p[: j + 2] = np.concatenate(([Decimal(0)], p[: j + 1])) - r * p[: j + 2]
-    q = np.empty((n, n), dtype=object)
-    q[n - 1] = p[n]
-    for m in range(n - 1, 0, -1):
-        q[m - 1] = p[m] + a * q[m]
-    return q / np.prod(diffs, axis=1)
+def _newton_coefficients(b: np.ndarray, taylor: list) -> np.ndarray:
+    """Divided differences f[b_0..b_m], m < n, down each column, from
+    taylor[r] = f^(r)(b_i)/r! in row i for r below the longest run of equal
+    points: along such a run the divided differences are those coefficients."""
+    c = taylor[0].copy()
+    for j in range(1, b.size):
+        d = b[j:] - b[:-j]
+        same = np.flatnonzero(b[j:] == b[:-j]) if j < len(taylor) else []
+        d[same] = 1
+        c[j:] = (c[j:] - c[j - 1 : -1]) / d[:, None]
+        for i in same:
+            c[j + i] = taylor[j][j + i]
+    return c
 
 
 def _at(digits: int, compute):
@@ -117,16 +109,16 @@ class KernelEvaluator:
         t = float(t)
         if not (math.isfinite(t) and t > 0.0):
             raise ConfigError(f"t must be positive and finite, got {t}")
-        self.points, self.eps_split_applied = _split_duplicates(_extract_points(config))
+        self.points = _extract_points(config)
         self.n = int(self.points.size)
         self.t = t
         self.x0 = float(x0)
         _check_finite(self.x0, "x0")
         self.digits = _START_DIGITS
         self._pref = math.sqrt(2.0 * self.n / t) / (2.0 * math.sqrt(math.pi))
-        self._a = np.array([Decimal(v) for v in self.points.tolist()], dtype=object)
-        self._tables: dict[int, np.ndarray] = {}  # digits -> _lagrange_table
-        self._gauss: tuple[int, dict] = (0, {})  # (digits, y -> column of G)
+        self._order = _newton_order(self.points)
+        self._b = np.array([Decimal(v) for v in self.points[self._order].tolist()], dtype=object)
+        self._run = int(np.max(np.unique(self.points, return_counts=True)[1]))
         self._diag: dict[float, float] = {}  # x -> K(x, x)
 
     @property
@@ -135,44 +127,47 @@ class KernelEvaluator:
         ``kernel.lagrange_m`` reads; a change to the benchmark alone renames it."""
         return self.digits + _CHECK_DIGITS
 
-    def _members(self, xs: np.ndarray) -> np.ndarray:
-        """A_k(x) = sum_m l_km H_m(x), X x n, at the context's digits: the
-        heat flow maps x^m to H_m(x) = sum_p (-s/2)^p m!/((m-2p)! p!) x^(m-2p),
-        s = t/n, and H_{m+1} = x H_m - m s H_{m-1}."""
-        digits = decimal.getcontext().prec
-        if digits not in self._tables:
-            self._tables = {d: v for d, v in self._tables.items() if d >= self.digits}
-            self._tables[digits] = _lagrange_table(self._a)
+    def _heat_newton(self, xs: np.ndarray) -> np.ndarray:
+        """T(pi_m)(x), X x n, at the context's digits, for pi_m = prod_{j<m} (w - b_j)
+        and T = exp(-(s/2) d^2), s = t/n.  As T(w p) = x T(p) - s T(p)', the
+        Taylor coefficients of T(pi_m) at x obey E_{m+1}^(j) = (x - b_m) E_m^(j)
+        + E_m^(j-1) - s (j+1) E_m^(j+1), of which T(pi_{n-1}) needs j < n - m."""
+        n = self.n
         x = np.array([Decimal(v) for v in xs.tolist()], dtype=object)
-        s = Decimal(self.t) / self.n
-        h = np.full((x.size, self.n), Decimal(1), dtype=object)
-        for m in range(self.n - 1):
-            h[:, m + 1] = x * h[:, m] - (m * s) * h[:, m - 1]
-        return h @ self._tables[digits]
+        sj = Decimal(self.t) / n * np.arange(1, n + 1, dtype=object)
+        e = np.full((x.size, n + 1), Decimal(0), dtype=object)
+        e[:, 0] = Decimal(1)
+        out = np.full((x.size, n), Decimal(1), dtype=object)
+        for m in range(n - 1):
+            top = min(m + 2, n - 1 - m)  # E_m^(j) is 0 for j > m
+            new = (x - self._b[m])[:, None] * e[:, :top] - sj[:top] * e[:, 1 : top + 1]
+            new[:, 1:] += e[:, : top - 1]
+            e[:, :top] = new
+            out[:, m + 1] = new[:, 0]
+        return out
 
-    def _gaussians(self, ys: np.ndarray) -> np.ndarray:
-        """exp(-n (a_k - y)^2 / (2t)), n x Y, rounded to the context's digits
-        from the working digits plus _CHECK_DIGITS, at which each y is taken
-        once: the check then sees the rounding of every sum and of l_k's
-        table.  At most 2^18 decimals are kept."""
-        digits = self.digits + _CHECK_DIGITS
-        if self._gauss[0] != digits or self.n * len(self._gauss[1]) > 1 << 18:
-            self._gauss = (digits, {})
-        new = [y for y in dict.fromkeys(ys.tolist()) if y not in self._gauss[1]]
-        if new:
-            with decimal.localcontext(decimal.Context(prec=digits)):
-                d = self._a[:, None] - np.array([Decimal(v) for v in new], dtype=object)
-                self._gauss[1].update(zip(new, np.exp(-self.n / (2 * Decimal(self.t)) * d**2).T))
-        return np.positive(np.stack([self._gauss[1][y] for y in ys.tolist()], axis=1))
+    def _gauss_newton(self, ys: np.ndarray) -> np.ndarray:
+        """g_y[b_0..b_m], n x Y, at the context's digits, for g_y(a) = exp(-kappa
+        (a - y)^2), kappa = n/(2t), whose Taylor coefficients at a repeated point
+        a obey (r+1) e_{r+1} = -2 kappa (u e_r + e_{r-1}), u = a - y."""
+        kappa = self.n / (2 * Decimal(self.t))
+        out = []
+        for sl in _x_blocks(ys.size, 128 * (self._run + 2) * self.n):
+            u = self._b[:, None] - np.array([Decimal(v) for v in ys[sl].tolist()], dtype=object)
+            e = [np.exp(-kappa * u**2)]
+            for r in range(self._run - 1):
+                e.append(-2 * kappa * (u * e[r] + (e[r - 1] if r else 0)) / (r + 1))
+            out.append(_newton_coefficients(self._b, e))
+        return np.concatenate(out, axis=1)
 
     def _sums(self, xs: np.ndarray, ys: np.ndarray, pairs: bool = False) -> np.ndarray:
-        """K = pref sum_k A_k(x) G_k(y) over the grid xs x ys, or over the
-        pairs (xs[i], ys[i]), in floats at the context's digits."""
-        g = None if pairs else self._gaussians(ys)
+        """K = pref sum_m g_y[b_0..b_m] T(pi_m)(x) over the grid xs x ys, or
+        over the pairs (xs[i], ys[i]), in floats at the context's digits."""
+        g = None if pairs else self._gauss_newton(ys)
         out = []
-        for sl in _x_blocks(xs.size, 128 * (4 * self.n + (1 if pairs else ys.size))):
-            a = self._members(xs[sl])
-            out.append(np.sum(a * self._gaussians(ys[sl]).T, axis=1) if pairs else a @ g)
+        for sl in _x_blocks(xs.size, 128 * (3 * self.n + (self.n if pairs else ys.size))):
+            h = self._heat_newton(xs[sl])
+            out.append(np.sum(h * self._gauss_newton(ys[sl]).T, axis=1) if pairs else h @ g)
         return self._pref * np.concatenate(out).astype(float)
 
     def _certified(self, compute, xs: np.ndarray, scale=None) -> np.ndarray:
@@ -247,10 +242,14 @@ def kernel_paper(ev: KernelEvaluator, x, y) -> float:
 
 def _p_hat_all(ev: KernelEvaluator, xs) -> np.ndarray:
     """Every member of the polynomial half at each x, X x n, within 1e-15 of
-    the largest member at its x."""
+    the largest member at its x.  The Newton coefficients of l_k, defined only
+    for distinct points, are the divided differences of identity column k."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if ev._run > 1:
+        raise ConfigError(f"l_k needs distinct points; a point repeats {ev._run} times")
+    ident = [np.eye(ev.n, dtype=object)[ev._order]]
     return ev._certified(
-        lambda: ev._pref * ev._members(xs).astype(float),
+        lambda: ev._pref * (ev._heat_newton(xs) @ _newton_coefficients(ev._b, ident)).astype(float),
         xs,
         lambda hi: np.log(np.max(np.abs(hi), axis=1, keepdims=True)),
     )

@@ -205,9 +205,19 @@ class DensityHistogram:
         return self.counts / (total * np.diff(self.edges))
 
 
-def empirical_density(samples: np.ndarray, bin_edges) -> DensityHistogram:
+def _spectra(samples) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.size == 0:
+        raise ConfigError(f"samples must be a nonempty stack of spectra, not {samples.shape}")
+    return samples
+
+
+def empirical_density(samples: np.ndarray, bin_edges) -> DensityHistogram:
+    samples = _spectra(samples)
     edges = np.asarray(bin_edges, dtype=float)
+    finite = edges.ndim == 1 and edges.size > 1 and np.all(np.isfinite(edges))
+    if not (finite and np.all(np.diff(edges) > 0.0)):
+        raise ConfigError(f"bin edges must be finite and strictly increasing, got {edges}")
     counts, _ = np.histogram(samples.ravel(), bins=edges)
     return DensityHistogram(
         edges=edges,
@@ -219,9 +229,7 @@ def empirical_density(samples: np.ndarray, bin_edges) -> DensityHistogram:
 
 def empirical_gap_frequency(samples: np.ndarray, interval) -> tuple[float, float]:
     """Fraction of samples with no eigenvalue in [a, b], with binomial SE."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ConfigError(f"samples must be a nonempty stack of spectra, not {samples.shape}")
+    samples = _spectra(samples)
     a, b = float(interval[0]), float(interval[1])
     if not -math.inf < a <= b < math.inf:
         raise ConfigError(f"interval must be finite with a <= b, got [{a}, {b}]")

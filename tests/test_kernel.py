@@ -135,20 +135,47 @@ class TestQuadrature:
         assert kernel_lagrange(ev, 0.0, 0.0) / n == pytest.approx(exact, abs=1e-6)
 
 
-class TestDuplicateSplitting:
-    def test_duplicates_are_split_and_recorded(self):
-        ev = KernelEvaluator([0.5, 0.5, 0.5, 1.0], 0.4)
-        assert ev.eps_split_applied > 0.0
-        assert np.all(np.diff(ev.points) > 0.0)
-        val = kernel_lagrange(ev, 0.6, 0.6)
-        assert np.isfinite(val)
-        assert val > 0.0
+class TestRepeatedPoints:
+    def test_coincident_points_give_the_shifted_gue_kernel(self):
+        # 15 points at a: Y = a + sqrt(t) H, whose density at x is the sum of
+        # psi_k(x)^2, k < n, over the Hermite functions orthonormal for the
+        # weight exp(-n (x - a)^2 / (2t)); no digits are spent on a split
+        n, t, a = 15, 0.5, 0.3
+        ev = KernelEvaluator([a] * n, t)
+        sig = math.sqrt(t / n)
+        for x in (0.3, 0.5):
+            u = (x - a) / sig
+            psi = math.exp(-u * u / 4.0) / math.sqrt(sig * math.sqrt(2.0 * math.pi))
+            prev = total = 0.0
+            for k in range(n):
+                total += psi * psi
+                psi, prev = (u * psi - math.sqrt(k) * prev) / math.sqrt(k + 1), psi
+            assert kernel_lagrange(ev, x, x) == pytest.approx(total, rel=1e-14), x
+        assert ev.digits == 30
 
-    def test_distinct_points_not_modified(self):
-        pts = [-1.0, 0.0, 1.0]
-        ev = KernelEvaluator(pts, 0.5)
-        assert ev.eps_split_applied == 0.0
-        assert np.allclose(ev.points, pts)
+    def test_gap_configuration_trace(self):
+        # with_gap moves three of the 11 points onto the gap edges, two to -0.3
+        cfg = InitialConfiguration.equispaced(-1.0, 1.0, 11).with_gap(0.0, 0.3)
+        assert np.count_nonzero(cfg.points == -0.3) == 2
+        assert kernel_trace(KernelEvaluator(cfg, 0.5)) == pytest.approx(11.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "points", [[1.0, 0.5, 0.5, 0.5], [1.0, -1.0, 0.0]], ids=["repeated", "distinct"]
+    )
+    def test_points_are_kept_as_given(self, points):
+        ev = KernelEvaluator(points, 0.4)
+        np.testing.assert_array_equal(ev.points, np.sort(points))
+        assert kernel_lagrange(ev, 0.6, 0.6) > 0.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda ev: lagrange_p_hat(ev, 0, 0.6), biorthogonality_check],
+        ids=["lagrange_p_hat", "biorthogonality_check"],
+    )
+    def test_lagrange_basis_needs_distinct_points(self, call):
+        ev = KernelEvaluator([0.5, 0.5, 0.5, 1.0], 0.4)
+        with pytest.raises(ConfigError, match="distinct points"):
+            call(ev)
 
 
 class TestTimeChecks:

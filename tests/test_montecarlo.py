@@ -311,6 +311,23 @@ class TestErrors:
             empirical_gap_frequency(np.empty((0, 3)), (-0.1, 0.1))
 
     @pytest.mark.parametrize(
+        "samples, edges",
+        [
+            (np.empty((0, 3)), [0.0, 1.0, 2.0]),
+            (np.zeros(3), [0.0, 1.0, 2.0]),
+            (np.zeros((2, 3)), [0.0, math.nan, 2.0]),
+            (np.zeros((2, 3)), [0.0, math.inf]),
+            (np.zeros((2, 3)), [2.0, 1.0, 0.0]),
+            (np.zeros((2, 3)), [0.0, 0.0, 1.0]),
+            (np.zeros((2, 3)), [0.0]),
+        ],
+        ids=["empty", "1-d", "nan-edge", "inf-edge", "decreasing", "repeated-edge", "one-edge"],
+    )
+    def test_bad_density_input_rejected(self, samples, edges):
+        with pytest.raises(ConfigError):
+            empirical_density(samples, edges)
+
+    @pytest.mark.parametrize(
         "interval", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 0.0), (0.5, -0.5)]
     )
     def test_bad_gap_interval_rejected(self, interval):
