@@ -62,3 +62,4 @@ from .montecarlo import (  # noqa: F401
     sample_perturbed,
     sample_spectra,
 )
+from .threads import default_threads  # noqa: F401

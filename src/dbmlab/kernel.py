@@ -30,6 +30,7 @@ from .errors import ConfigError, NonConvergence
 from .freeconv import FreeConvolutionState, Window, _check_finite, window_scale
 from .measures import _extract_points
 from .panels import panel_nodes
+from .threads import default_threads, run_items
 
 # e^-60: below any tolerance this module promises, with margin for sums
 _DROP_CUTOFF = 60.0
@@ -37,7 +38,8 @@ _DROP_CUTOFF = 60.0
 # bytes of one block's largest temporary: an x- or y-block of the Lagrange sums,
 # the stacked real Cauchy blocks of a w-block in _loop_sum or any product
 # made from them, or each real temporary of a q-block in
-# RescaledKernelFrame._phi_parts
+# RescaledKernelFrame._phi_parts.  The bound holds per block, whatever the
+# thread count: each thread of _loop_sum works on one block at a time
 _BLOCK_BYTES = 2_000_000
 
 # the Lagrange route's first working digits, the digits more at which each
@@ -292,16 +294,22 @@ def kernel_trace(ev: KernelEvaluator, tol=1e-7) -> float:
     raise NonConvergence("trace quadrature did not settle")
 
 
-def projection_defect(ev: KernelEvaluator, x, y) -> float:
-    """|integral K(x,z)K(z,y) dz - K(x,y)|: the reproducing property."""
+def projection_defect(ev: KernelEvaluator, xs, ys):
+    """|integral K(x,z)K(z,y) dz - K(x,y)| at each pair (xs[i], ys[i]): the
+    reproducing property, a float for one pair given as scalars.  All pairs
+    share one row block K(xs, nodes) and one column block K(nodes, ys)."""
+    scalar = np.ndim(xs) == np.ndim(ys) == 0
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ConfigError(f"pairs need two 1-d arrays of one length, got {xs.shape}, {ys.shape}")
     lo, hi = _diag_interval(ev)
-    x, y = float(x), float(y)
-    target = kernel_lagrange(ev, x, y)
-    edges = np.linspace(lo, hi, 65)
-    nodes, wts = panel_nodes(edges, 16)
-    row = kernel_matrix(ev, x, nodes)[0]
-    col = kernel_matrix(ev, nodes, y)[:, 0]
-    return float(abs(np.sum(wts * row * col) - target))
+    nodes, wts = panel_nodes(np.linspace(lo, hi, 65), 16)
+    target = np.diagonal(kernel_matrix(ev, xs, ys))
+    rows = kernel_matrix(ev, xs, nodes)
+    cols = kernel_matrix(ev, nodes, ys)
+    out = np.abs(np.sum(wts * rows * cols.T, axis=1) - target)
+    return float(out[0]) if scalar else out
 
 
 def correlation_function(ev: KernelEvaluator, pts) -> float:
@@ -319,42 +327,67 @@ def _loop_sum(x0: float, sig: np.ndarray, a: np.ndarray, wn: np.ndarray, q: np.n
     The z-line is x0 + i*sig (sig > 0) with weight columns ``a`` (Z x U),
     mirrored to x0 - i*sig with conj(a); the loop is ``wn`` with weight rows
     ``-q`` (W x V), mirrored to conj(wn) with conj(q); the result is U x V.
+    The loop nodes are cut into blocks by size alone.  Up to default_threads()
+    threads take the blocks as they come free, each block's product goes to
+    its own slot, and the slots are added in block order: the sum is the
+    same bits at any thread count.
+    """
+    nz, nu = a.shape
+    nv = q.shape[1]
+    amat = np.concatenate([a.real.T, a.imag.T])
+    block = max(1, _BLOCK_BYTES // (16 * max(nz, 2 * nu, 2 * nv)))
+    starts = range(0, wn.size, block)
+    workers = min(default_threads(), len(starts))
+    # the slots of one round stay under _BLOCK_BYTES, or hold one block a thread
+    per_round = max(workers, _BLOCK_BYTES // (16 * nu * nv))
+    # each thread's transposed Cauchy blocks, stacked: rows of inv, then rows
+    # of dy.  Taken by the caller, so that no worker's own heap keeps them
+    bufs = [np.empty((2 * min(block, wn.size), nz)) for _ in range(workers)]
+    ssum = np.zeros((nu, nv), dtype=complex)
+    for first in range(0, len(starts), per_round):
+        slots = starts[first : first + per_round]
+        parts = [None] * len(slots)
+
+        def product(j, w, slots=slots, parts=parts):
+            sl = slice(slots[j], slots[j] + block)
+            parts[j] = _block_product(x0, sig, amat, wn[sl], q[sl], bufs[w])
+
+        run_items(product, len(slots), workers)
+        for part in parts:
+            ssum += part
+    return 1j * ssum
+
+
+def _block_product(x0, sig, amat, wn, qs, buf):
+    """One loop block's term of _loop_sum, before the factor i.
+
     The z weights are contracted first: r1 = a^T @ 1/(z - w) and
-    r2 = a^T @ 1/(z - conj w) give the whole sum as [g, -conj g] @ [conj q, q]
-    with g = r2 + conj(r1), accumulated in one product so that its imaginary
+    r2 = a^T @ 1/(z - conj w) give the block's sum as [g, -conj g] @
+    [conj q, q] with g = r2 + conj(r1), one product so that its imaginary
     part is the rounding of the mirrored sum.  Every z shares the real part
     x0, so 1/(z - w) = (dx - i dy)/(dx^2 + dy^2) with one real dx = x0 - Re w
     per column: the Cauchy blocks are real, and one real product per loop
     half contracts both of them against the real and imaginary weights.
     """
-    nz, nu = a.shape
-    amat = np.concatenate([a.real.T, a.imag.T])
-    block = max(1, _BLOCK_BYTES // (16 * max(nz, 2 * nu, 2 * q.shape[1])))
-    # the transposed Cauchy blocks, stacked: rows of inv, then rows of dy
-    buf = np.empty((2 * min(block, wn.size), nz))
-    ssum = np.zeros((nu, q.shape[1]), dtype=complex)
-    for i in range(0, wn.size, block):
-        sl = slice(i, i + block)
-        dx = x0 - wn.real[sl]
-        dx2 = dx * dx
-        k = dx.size
-        cauchy = buf[: 2 * k]
-        inv, dy = cauchy[:k], cauchy[k:]
-        r = []
-        for wy in (wn.imag[sl], -wn.imag[sl]):
-            # 1/(z - w) = dx*inv - i*dy*inv for w = Re w + i*wy
-            np.subtract(sig[None, :], wy[:, None], out=dy)
-            np.multiply(dy, dy, out=inv)
-            inv += dx2[:, None]
-            np.reciprocal(inv, out=inv)
-            dy *= inv
-            pm = amat @ cauchy.T
-            p, m = pm[:, :k], pm[:, k:]
-            r.append((p[:nu] * dx + m[nu:]) + 1j * (p[nu:] * dx - m[:nu]))
-        g = r[1] + np.conj(r[0])
-        qs = q[sl]
-        ssum += np.concatenate([g, -np.conj(g)], axis=1) @ np.concatenate([np.conj(qs), qs])
-    return 1j * ssum
+    nu = amat.shape[0] // 2
+    dx = x0 - wn.real
+    dx2 = dx * dx
+    k = dx.size
+    cauchy = buf[: 2 * k]
+    inv, dy = cauchy[:k], cauchy[k:]
+    r = []
+    for wy in (wn.imag, -wn.imag):
+        # 1/(z - w) = dx*inv - i*dy*inv for w = Re w + i*wy
+        np.subtract(sig[None, :], wy[:, None], out=dy)
+        np.multiply(dy, dy, out=inv)
+        inv += dx2[:, None]
+        np.reciprocal(inv, out=inv)
+        dy *= inv
+        pm = amat @ cauchy.T
+        p, m = pm[:, :k], pm[:, k:]
+        r.append((p[:nu] * dx + m[nu:]) + 1j * (p[nu:] * dx - m[:nu]))
+    g = r[1] + np.conj(r[0])
+    return np.concatenate([g, -np.conj(g)], axis=1) @ np.concatenate([np.conj(qs), qs])
 
 
 class RescaledKernelFrame:

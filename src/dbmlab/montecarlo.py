@@ -10,14 +10,13 @@ depend on worker count or evaluation order.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NonConvergence
 from .measures import _extract_points
+from .threads import default_threads, run_items
 
 _HERMITICITY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
@@ -54,18 +53,6 @@ class GueSampler:
         h += h.conj().T
         h[self.diag] = z[:n] / np.sqrt(n)
         return h
-
-
-def default_threads() -> int:
-    """Sampling threads: the usable CPUs when BLAS is pinned to one thread,
-    else 1, since a threaded BLAS already spreads each eigensolve over the
-    cores and more sampling threads would oversubscribe them."""
-    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if blas != "1":
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -144,17 +131,10 @@ def sample_spectra(
     sampler = GueSampler(pts.size, seed)
     out = np.empty((n_samples, pts.size))
 
-    def work(first: int) -> None:
-        for k in range(first, n_samples, threads):
-            out[k] = _spectrum(pts, sampler, t, k)
+    def sample(k: int, w: int) -> None:
+        out[k] = _spectrum(pts, sampler, t, k)
 
-    # the calling thread takes a share: a thread that has run eigensolves
-    # leaves its malloc arena and BLAS buffer resident after it exits
-    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
-        rest = [pool.submit(work, w) for w in range(1, threads)]
-        work(0)
-        for f in rest:
-            f.result()
+    run_items(sample, n_samples, threads)
     return out
 
 

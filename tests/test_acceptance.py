@@ -80,8 +80,7 @@ def test_criterion_03_determinantal_identities_small_n():
         ev = KernelEvaluator(config, t)
         worst_trace = max(worst_trace, abs(kernel_trace(ev) - 10.0))
         pairs = rng.uniform(pts[0] - 1.0, pts[-1] + 1.0, (20, 2))
-        for x, y in pairs:
-            worst_proj = max(worst_proj, projection_defect(ev, x, y))
+        worst_proj = max(worst_proj, float(np.max(projection_defect(ev, *pairs.T))))
         worst_bio = max(worst_bio, biorthogonality_check(ev))
     assert worst_trace <= 1e-6
     assert worst_proj <= 1e-6

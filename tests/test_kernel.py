@@ -278,6 +278,30 @@ class TestTraceAndProjection:
         for x, y in ((0.2, -0.1), (0.0, 0.0), (1.2, 0.8)):
             assert projection_defect(ev, x, y) <= 1e-6
 
+    def test_projection_defect_of_many_pairs_matches_one_pair_calls(self):
+        # one call shares the quadrature nodes' blocks among its pairs; each
+        # defect is the one-pair call's within 1e-15 of the integrand's scale
+        cfg = InitialConfiguration.explicit([-1.0, -0.3, 0.2, 1.0])
+        xs = np.array([-1.6, 0.25, 0.7])
+        ys = np.array([0.4, -0.9, 0.7])
+        got = projection_defect(KernelEvaluator(cfg, 0.5), xs, ys)
+        assert got.shape == xs.shape
+        for x, y, g in zip(xs, ys, got):
+            ev = KernelEvaluator(cfg, 0.5)
+            one = projection_defect(ev, x, y)
+            assert isinstance(one, float)
+            lo, hi = kernel._diag_interval(ev)
+            nodes, wts = kernel.panel_nodes(np.linspace(lo, hi, 65), 16)
+            terms = wts * kernel_matrix(ev, x, nodes)[0] * kernel_matrix(ev, nodes, y)[:, 0]
+            scale = float(np.sum(np.abs(terms))) + abs(kernel_lagrange(ev, x, y))
+            assert abs(g - one) <= 1e-15 * scale, (x, y, g, one)
+            assert g <= 1e-6
+
+    def test_projection_defect_rejects_unpaired_arrays(self):
+        ev = KernelEvaluator(InitialConfiguration.explicit([0.0, 1.0]), 0.5)
+        with pytest.raises(ConfigError):
+            projection_defect(ev, [0.0, 0.1], [0.2])
+
 
 class TestCorrelation:
     def test_one_point_matches_diagonal(self):
@@ -790,3 +814,35 @@ def test_saddles_do_not_depend_on_the_batch(n):
     alone = _bulk_uniform_frame(n)
     for u, got in zip(grid, together):
         assert alone._saddles_at((u,))[0] == got, u
+
+
+def test_frame_values_do_not_depend_on_threads(monkeypatch):
+    # each loop block's product has its own slot and the slots are added in
+    # block order: at 1, 2 and 3 threads a frame's values are the same bits,
+    # on a shared bulk contour, on a deep soft-centre one and on per-row
+    # contours through real saddles
+    cases = [
+        (lambda: _bulk_uniform_frame(100), None),
+        (_power_half_frame, np.linspace(-2.0, 2.0, 9)),
+        (lambda: _sub_threshold_frame()[0], np.array([0.0, 0.5, 1.0])),
+    ]
+    most = []
+    run_items = kernel.run_items
+
+    def counted(fn, count, threads):
+        most.append(threads)
+        run_items(fn, count, threads)
+
+    monkeypatch.setattr(kernel, "run_items", counted)
+    for make_frame, grid in cases:
+        got = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(kernel, "default_threads", lambda: threads)
+            most.clear()
+            frame = make_frame()
+            g = np.asarray(frame.window.u_grid if grid is None else grid)
+            got.append(frame.values(g, g))
+            # the threaded path ran: some sum had a block for every thread
+            assert max(most) == threads
+        for other in got[1:]:
+            assert np.array_equal(got[0], other)

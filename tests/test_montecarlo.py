@@ -10,14 +10,18 @@ kernel route is independent of the sampler.
 import itertools
 import math
 import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from dbmlab import kernel, montecarlo, threads as pool
 from dbmlab.errors import ConfigError, NonConvergence
+from dbmlab.freeconv import make_window
 from dbmlab.fredholm import GapProblem, gap_probability
-from dbmlab.kernel import KernelEvaluator, correlation_function
+from dbmlab.kernel import KernelEvaluator, RescaledKernelFrame, correlation_function
 from dbmlab.measures import InitialConfiguration, MeasureSpec, kolmogorov_distance
 from dbmlab.montecarlo import (
     GueSampler,
@@ -162,6 +166,49 @@ class TestSampleSpectra:
         assert default_threads() == 1
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
         assert default_threads() == 3
+
+    def test_threads_are_reused_by_frames_and_sampling(self, monkeypatch):
+        # frames and sampling share one pool: after the first call no call
+        # starts a thread, and every thread that ran an item is still alive
+        monkeypatch.setattr(kernel, "default_threads", lambda: 3)
+        ran = set()
+        run_items = pool.run_items
+
+        def recorded(fn, count, threads):
+            def item(i, w):
+                ran.add(threading.current_thread())
+                fn(i, w)
+
+            run_items(item, count, threads)
+
+        monkeypatch.setattr(kernel, "run_items", recorded)
+        monkeypatch.setattr(montecarlo, "run_items", recorded)
+        cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), 50)
+        window = make_window(cfg.empirical(), 0.5, 0.0)
+        sample_spectra(cfg, 0.3, 20, seed=1, threads=3)
+        before = threading.active_count()
+        for _ in range(5):
+            RescaledKernelFrame(cfg, 0.5, window).values([0.0, 1.0], [0.0, 1.0])
+            sample_spectra(cfg, 0.3, 20, seed=1, threads=3)
+            assert threading.active_count() == before
+        assert len(ran) > 1
+        assert all(t.is_alive() for t in ran)
+
+    def test_concurrent_callers_share_the_pool_under_threads(self):
+        # two callers at once, each on more threads than the machine has
+        # CPUs, with a short switch interval: every stack is the serial one
+        cfg = InitialConfiguration.equispaced(-1.0, 1.0, 6)
+        serial = sample_spectra(cfg, 0.3, 60, seed=2, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as callers:
+                got = [callers.submit(sample_spectra, cfg, 0.3, 60, 2, 8) for _ in range(2)]
+                stacks = [f.result(timeout=60) for f in got]
+        finally:
+            sys.setswitchinterval(interval)
+        for stack in stacks:
+            assert stack.tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_certificate_checks_every_sample_at_threads(self, monkeypatch, threads):
