@@ -36,7 +36,7 @@ from .errors import (
 )
 from .measures import InitialConfiguration, MeasureSpec
 from .measures import _illinois, _shaped
-from .panels import gauss_panels, graded_edges, panel_nodes, row_union
+from .panels import gauss_panels, graded_edges, jacobi_panels, panel_nodes, row_union
 
 __all__ = [
     "FreeConvolutionState",
@@ -336,32 +336,54 @@ def _rule_rows(mu, xs, y):
     """The panel rules for integrals against mu near the points xs + iy, one
     row per point: nodes s, and weights w * density(s) padded with zeros on
     nodes one unit right of the point, an exact 0 in every sum, also at
-    y = 0.
+    y = 0.  y is one height for all points or one per point.
 
-    Each piece of the support is graded toward its kinks, and toward x
-    (clipped into the piece) down to half of max(|y|, dist(x, piece)).  The
-    kink grading is made once for all points, the grading toward the points
-    in one ``graded_edges`` call, and each row is bitwise the rule of its
-    point alone.
+    Each piece of the support is graded toward x (clipped into the piece)
+    down to half of max(|y|, dist(x, piece)), in one ``graded_edges`` call
+    for all points.  A power density's kink c, inside the piece or at one of
+    its ends, is graded by quarters too, in each row down to the first width
+    below the row's nearest other edge to c, so every Gauss-Legendre panel
+    sees c at rho >= 3; the panels that end at c take Gauss-Jacobi nodes
+    with the weight coeff |s - c|^kappa folded in, which integrate the kink
+    exactly.  Each row is bitwise the rule of its point alone.
     """
     hull_lo, hull_hi = mu.hull()
     span = max(hull_hi - hull_lo, 1e-12)
-    kinks = mu.kink_points()
+    kink = mu.params[1] if mu.kind == "power" and mu.kink_points() else None
     rows, nodes, weights = [], [], []
     for a, b in mu.support:
         if not b > a:
             continue
-        sharp = graded_edges(a, b, [k for k in kinks if a < k < b], 1e-13 * span)
-        dist = np.maximum(abs(y), np.maximum(np.maximum(a - xs, xs - b), 0.0))
+        dist = np.maximum(np.abs(y), np.maximum(np.maximum(a - xs, xs - b), 0.0))
         row, edges = graded_edges(
             a, b, np.clip(xs, a, b)[:, None], np.maximum(0.5 * dist, 1e-13 * span)
         )
-        row, edges = row_union(
-            np.concatenate([row, np.repeat(np.arange(xs.size), sharp.size)]),
-            np.concatenate([edges, np.tile(sharp, xs.size)]),
-        )
+        if kink is not None and a <= kink <= b:
+            # each row's nearest edge to the kink other than the kink itself;
+            # every row holds a and b
+            gap = np.abs(edges - kink)
+            gap[gap == 0.0] = np.inf
+            near = np.minimum.reduceat(gap, np.searchsorted(row, np.arange(xs.size)))
+            # the x grading already caps every gap at span/8, so the kink's
+            # ladder needs no cap of its own
+            widths = np.ldexp(b - a, -2 * np.arange(1, 49))
+            krow, kw = np.nonzero(widths[None, :] >= near[:, None])
+            kedges = np.concatenate([np.full(xs.size, kink), kink - widths[kw], kink + widths[kw]])
+            krow = np.concatenate([np.arange(xs.size), krow, krow])
+            inside = (a < kedges) & (kedges < b)
+            row, edges = row_union(
+                np.concatenate([row, krow[inside]]), np.concatenate([edges, kedges[inside]])
+            )
         inner = row[1:] == row[:-1]
-        s, w = gauss_panels(edges[:-1][inner], edges[1:][inner])
+        lo, hi = edges[:-1][inner], edges[1:][inner]
+        s, w = gauss_panels(lo, hi)
+        w *= mu.density(s)
+        if kink is not None:
+            kappa, _, coeff = mu.params
+            at = (lo == kink) | (hi == kink)
+            far = np.where(lo[at] == kink, hi[at], lo[at])
+            s[at], w[at] = jacobi_panels(kink, far - kink, kappa)
+            w[at] *= coeff
         rows.append(np.repeat(row[1:][inner], s.shape[1]))
         nodes.append(s.ravel())
         weights.append(w.ravel())
@@ -369,7 +391,7 @@ def _rule_rows(mu, xs, y):
     order = np.argsort(np.concatenate(rows), kind="stable")
     row = np.concatenate(rows)[order]
     s = np.concatenate(nodes)[order]
-    wd = np.concatenate(weights)[order] * mu.density(s)
+    wd = np.concatenate(weights)[order]
     count = np.bincount(row, minlength=xs.size)
     col = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
     out_nodes = np.repeat(xs[:, None] + 1.0, count.max(), axis=1)
@@ -377,6 +399,22 @@ def _rule_rows(mu, xs, y):
     out_nodes[row, col] = s
     out_weights[row, col] = wd
     return out_nodes, out_weights
+
+
+def _height_floor(mu, t, xs):
+    """A lower bound on the height y_t(x) at each point, or 0.
+
+    L(Y) >= mu[x - d, x + d] / (d^2 + Y) for every d > 0, so the root of
+    L(Y) = 1/t has Y >= t mu[x - d, x + d] - d^2.  The largest of these over
+    a ladder of halving d, with each mass read off the cdf less a slack for
+    its rounding, is halved, so the floor is at most 1/sqrt(2) of the
+    height.  A floor below Newton's start height counts as 0.
+    """
+    hull_lo, hull_hi = mu.hull()
+    d = np.ldexp(hull_hi - hull_lo + 2.0 * math.sqrt(t), -np.arange(_FLOOR_LEVELS))
+    mass = mu.cdf(xs[:, None] + d) - mu.cdf(xs[:, None] - d)
+    y = np.sqrt(0.5 * np.maximum(np.max(t * (mass - _MASS_SLACK) - d * d, axis=1), 0.0))
+    return np.where(y >= _Y_START * math.sqrt(t), y, 0.0)
 
 
 def _row_lorentz_sums(dx2, weights, big_y):
@@ -391,13 +429,13 @@ def _row_lorentz_sums(dx2, weights, big_y):
     return lsum, msum
 
 
-# points per block of panel rules, set by memory: a rule has up to about
-# 1600 nodes, and a block holds a dozen arrays of that size per point while
-# its rules are built, then x - s and (x - s)^2 through Newton.  At 16 points
-# a soft-center benchmark round peaks within 0.4 MB of point-by-point rules,
-# and the power density's 201-point psi allocates 3.1 MB at its peak (6.1 MB
-# at 32, no faster); at 8 it runs 8% slower.  Rows do not depend on it.
-_RULE_BLOCK = 16
+# points per block of panel rules, set by memory: a block holds a dozen
+# arrays of its widest rule per point while its rules are built, then x - s
+# and (x - s)^2 through Newton.  The power density's 201-point psi pads its
+# rules to 281 nodes on average; at 32 points it allocates 2.2 MB at its
+# peak (4.1 MB at 64, little faster), and at 16 it runs about 15% slower.
+# Rows do not depend on it.
+_RULE_BLOCK = 32
 # float64 entries per block of an n-column temporary of atom sums, 1 MB: larger
 # temporaries, of a size that changes as Newton's active set shrinks, stay
 # resident on the malloc heap
@@ -408,9 +446,14 @@ _XTOL, _RTOL = 1e-10, 8.9e-16
 _INVERSE_CAP = 100
 # Newton's start height, in units of sqrt(t); heights below it count as 0
 _Y_START = 1e-14
+# the height floor's half-widths d: the hull's span plus 2 sqrt(t), halved
+# up to this many times; and the mass it takes off each cdf difference, far
+# above the rounding of a cdf made of O(1) terms
+_FLOOR_LEVELS = 48
+_MASS_SLACK = 1e-12
 
 
-def _newton_heights(sums, t, size):
+def _newton_heights(sums, t, size, start=None):
     """Heights y >= 0 with L(y^2) = 1/t, and 0 where no positive one exists.
 
     ``sums(idx, Y)`` returns L(Y) = int dmu(s)/((x - s)^2 + Y) and
@@ -418,10 +461,12 @@ def _newton_heights(sums, t, size):
     every point is still open, so no row is copied.  As a harmonic mean of
     functions affine in Y, h = 1/L is concave and increasing (Biane,
     Indiana Univ. Math. J. 46, 1997), so Newton on h(Y) = t, started below
-    the root, rises monotonically to it.
+    the root, rises monotonically to it.  It starts at the heights ``start``,
+    one per point, else at sqrt(t) _Y_START; a point whose L there is at most
+    1/t gets height 0.
     """
-    y_floor = math.sqrt(t) * _Y_START
-    big_y = np.full(size, y_floor * y_floor)
+    y0 = np.full(size, math.sqrt(t) * _Y_START) if start is None else start
+    big_y = y0 * y0
     lsum, msum = sums(slice(None), big_y)
     ys = np.zeros(size)
     idx = np.nonzero(lsum > 1.0 / t)[0]
@@ -565,6 +610,8 @@ class FreeConvolutionState:
         pts = _atoms(mu)
         ys = np.empty(xs.size)
         g = np.empty(xs.size, dtype=complex)
+        # atoms start Newton at sqrt(t) _Y_START, panel rules at their points' height floors
+        start = None
         if pts is not None:
             # one weight row, broadcast against every row of the block
             nodes, weights = pts[None, :], np.full((1, pts.size), 1.0 / pts.size)
@@ -573,10 +620,12 @@ class FreeConvolutionState:
             sl = slice(j, j + block)
             x = xs[sl]
             if pts is None:
-                # one rule per point, graded at Newton's start height: it
-                # resolves every Lorentzian of width y met on the way up to
-                # the root, and the one at the root that G integrates against
-                nodes, weights = _rule_rows(mu, x, _Y_START * self.sqrt_t)
+                # one rule per point, graded at Newton's start height, the
+                # point's height floor: it resolves every Lorentzian of width
+                # y met on the way up to the root, and the one at the root
+                # that G integrates against
+                start = np.maximum(_height_floor(mu, self.t, x), _Y_START * self.sqrt_t)
+                nodes, weights = _rule_rows(mu, x, start)
             # (x - s)^2 once per block, reused at every Newton step
             dx = x[:, None] - nodes
             dx2 = dx**2
@@ -584,7 +633,7 @@ class FreeConvolutionState:
                 lambda i, big_y: _row_lorentz_sums(
                     dx2[i], weights if pts is not None else weights[i], big_y
                 ),
-                self.t, x.size,
+                self.t, x.size, start,
             )
             if with_g:
                 d2 = dx2 + y[:, None] ** 2

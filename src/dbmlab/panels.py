@@ -1,14 +1,20 @@
-"""Geometrically graded Gauss-Legendre panel quadrature.
+"""Geometrically graded panel quadrature: Gauss-Legendre, and Gauss-Jacobi
+beside a power-law kink.
 
 Integrands in this package are smooth except at isolated known points
 (density kinks, Lorentzian peaks, excision edges). Panels are refined
-toward those points by quarters; each panel carries a fixed-order
-Gauss-Legendre rule, so the composite rule converges fast while the
-node count stays O(order * log(range/floor)).  A panel [h, 4h] next to
-a singularity sees it at a Bernstein ellipse parameter rho = 3, and 16
-nodes there converge like rho^-32, about 5e-16 (Trefethen, Approximation
-Theory and Approximation Practice, Thm 19.3), so finer grading would
-spend nodes on accuracy no double shows.
+toward those points by quarters, down to a floor that each caller sets;
+each panel carries a fixed-order Gauss-Legendre rule, so the composite
+rule converges fast while the node count stays
+O(order * log(range/floor)).  A panel [h, 4h] next to a singularity sees
+it at a Bernstein ellipse parameter rho = 3, and 16 nodes there converge
+like rho^-32, about 5e-16 (Trefethen, Approximation Theory and
+Approximation Practice, Thm 19.3), so finer grading would spend nodes on
+accuracy no double shows.  A panel that ends at a power-law kink
+|s - c|^kappa takes a Gauss-Jacobi rule for that weight
+(``jacobi_panels``), which integrates the kink exactly, so grading toward
+c only has to keep the Gauss-Legendre panels beside it at rho >= 3, not
+shrink the panel at c.
 """
 
 from __future__ import annotations
@@ -22,6 +28,27 @@ from numpy.polynomial.legendre import leggauss
 @functools.cache
 def _gl(order):
     return leggauss(order)
+
+
+@functools.cache
+def _gj(kappa, order):
+    """Nodes u and weights w of the Gauss rule for int_0^1 u^kappa f(u) du.
+
+    Golub and Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the Jacobi matrix of the weight (1 + x)^kappa on [-1, 1], mapped to
+    u = (1 + x)/2, and the weights are the first components of its
+    eigenvectors squared, times the weight's mass 1/(kappa + 1) on [0, 1].
+    """
+    n = np.arange(order, dtype=float)
+    m = 2.0 * n + kappa
+    k, mk = n[1:], m[1:]
+    off = 2.0 * k * (k + kappa) / (mk * np.sqrt(mk * mk - 1.0))
+    jacobi = np.diag(kappa * kappa / (m * (m + 2.0))) + np.diag(off, 1) + np.diag(off, -1)
+    x, vec = np.linalg.eigh(jacobi)
+    u, w = 0.5 * (1.0 + x), vec[0] ** 2 / (kappa + 1.0)
+    # every caller shares the cached arrays
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def graded_edges(a, b, special=(), floor=None, max_levels=48):
@@ -99,6 +126,15 @@ def gauss_panels(lo, hi, order=16):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return mid[:, None] + half[:, None] * base_x[None, :], half[:, None] * base_w[None, :]
+
+
+def jacobi_panels(c, h, kappa, order=16):
+    """Gauss-Jacobi nodes c + h_i u_j and weights |h_i|^(kappa+1) w_j on the
+    panels between c and c + h_i, h_i of either sign, one row of `order`
+    each: with the weight |s - c|^kappa folded into the weights, exact for
+    polynomials of degree below 2 order."""
+    u, w = _gj(float(kappa), order)
+    return c + h[:, None] * u[None, :], np.abs(h)[:, None] ** (kappa + 1.0) * w[None, :]
 
 
 def panel_nodes(edges, order=16):

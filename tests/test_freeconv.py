@@ -747,3 +747,37 @@ def test_forward_reads_one_rule_per_point(monkeypatch):
     calls.clear()
     gap_window(mu, 0.2285, 2.5, 0.1)
     assert sum(calls) == 1
+
+
+def test_height_floor_is_below_every_height(monkeypatch):
+    # on the 201 points dbmlab density evaluates, for power densities whose
+    # height at the kink is positive (kappa <= 1, or t above t_cr = 0.2 for
+    # kappa = 3/2) and zero (kappa = 3/2 at t = 0.01): the floor Newton starts
+    # from is at most the height, and 0 where the height is; and with the x
+    # grading stopped at half the floor, the rules of the psi runs stay small
+    widths = []
+    rows = freeconv._rule_rows
+
+    def counted(mu, xs, y):
+        s, wd = rows(mu, xs, y)
+        widths.extend(np.count_nonzero(wd, axis=1))
+        return s, wd
+
+    monkeypatch.setattr(freeconv, "_rule_rows", counted)
+    pinched = 0
+    for kappa in (0.3, 0.5, 1.5):
+        for t in (0.01, 0.22845186424458322):
+            mu = MeasureSpec.power(kappa, 0.0, (-1.0, 1.0))
+            pad = 2.0 * math.sqrt(t)
+            xs = np.linspace(-1.0 - pad, 1.0 + pad, 201)
+            state = FreeConvolutionState(mu, t)
+            state.psi(xs)
+            ys = state._y_profile(xs)
+            floor = freeconv._height_floor(mu, t, xs)
+            assert np.all(floor**2 <= ys**2)
+            assert np.all(floor[ys == 0.0] == 0.0)
+            # and it is no vacuous bound: above a tenth of most heights
+            assert np.count_nonzero(floor > 0.1 * ys) >= 2 * np.count_nonzero(ys) / 3
+            pinched += np.count_nonzero((ys == 0.0) & (np.abs(xs) < 1.0))
+    assert pinched > 0
+    assert np.mean(widths) <= 300.0
