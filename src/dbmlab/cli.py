@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    BracketingError,
     ConfigError,
     NonConvergence,
     OutsideDomain,
@@ -421,7 +420,6 @@ _COMMANDS = {
 _VALIDATION_ERRORS = (
     ConfigError,
     OutsideDomain,
-    BracketingError,
     PrincipalValueRequired,
 )
 

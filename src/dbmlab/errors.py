@@ -1,7 +1,7 @@
 """Semantic exceptions shared across the package.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, numerical non-convergence with 3.
+The CLI maps these onto process exit codes: the three ValueErrors, each a
+value outside its domain, exit with 2, numerical non-convergence with 3.
 """
 
 
@@ -15,10 +15,6 @@ class PrincipalValueRequired(ValueError):
 
 class OutsideDomain(ValueError):
     """A point lies outside the domain of the requested analytic map."""
-
-
-class BracketingError(ValueError):
-    """A root bracket could not be established inside the admissible range."""
 
 
 class NonConvergence(RuntimeError):

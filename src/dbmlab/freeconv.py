@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BracketingError,
     ConfigError,
     NonConvergence,
     OutsideDomain,
@@ -125,17 +124,19 @@ def _stieltjes_closed(mu, z):
     return ((np.log(z - a) - np.log(z - b)).real - 1j * angle) / (b - a)
 
 
+def _closed_dg(mu, z):
+    """Closed-form G'(z) for the semicircle and uniform kinds; array-safe."""
+    lo, hi = mu.support[0]
+    if mu.kind == "semicircle":
+        return (1.0 - z / (np.sqrt(z - hi) * np.sqrt(z + hi))) / (2.0 * mu.params[0])
+    return (1.0 / (z - lo) - 1.0 / (z - hi)) / (hi - lo)
+
+
 def _cauchy_panels(mu, z):
     """int density(s)/(z - s) ds on the panel rule at z."""
     zz = complex(z)
     s, wd = _rule_rows(mu, np.array([zz.real]), zz.imag)
     return complex(np.sum(wd[0] / (zz - s[0])))
-
-
-def _stieltjes_spec(mu, zz):
-    if _closed(mu):
-        return complex(_stieltjes_closed(mu, zz))
-    return _cauchy_panels(mu, zz)
 
 
 def stieltjes(mu, z):
@@ -156,51 +157,50 @@ def stieltjes(mu, z):
     if pts is not None:
         terms = 1.0 / (zz - pts)
         return complex(math.fsum(terms.real), math.fsum(terms.imag)) / pts.size
-    return _stieltjes_spec(mu, zz)
+    if _closed(mu):
+        return complex(_stieltjes_closed(mu, zz))
+    return _cauchy_panels(mu, zz)
 
 
 # --------------------------------------------------------------------------
 # Hilbert transform (principal value on the support)
 
 
-def _excised_integral(mu, x, eps):
+def _pv_excision(mu, x):
+    """Principal value of int density(s)/(x - s) ds at x on the support.
+
+    e is half the distance from x to the nearest other support end or kink,
+    at most span/16.  Inside the band |s - x| < e the principal value is the
+    ordinary integral int_0^e (rho(x - r) - rho(x + r))/r dr, smooth in r
+    out to r = 2e, so one Gauss-Legendre panel takes it.  Outside the band
+    the support is cut at the kinks and the band, and each stretch graded
+    toward both its ends down to e: every panel sees the pole at x and the
+    kinks at rho >= 3, and one that ends at a power kink takes Gauss-Jacobi
+    nodes.
+    """
     kinks = mu.kink_points()
-    total = 0.0
+    near = [abs(x - p) for p in (*np.ravel(mu.support), *kinks) if p != x]
+    e = 0.5 * min(near + [np.ptp(mu.hull()) / 8.0])
+    r, w = panel_nodes(np.array([0.0, e]))
+    total = float(np.sum(w * (mu.density(x - r) - mu.density(x + r)) / r))
     for a, b in mu.support:
-        for lo, hi in ((a, min(b, x - eps)), (max(a, x + eps), b)):
-            if not hi > lo:
-                continue
-            edges = np.union1d(
-                graded_edges(lo, hi, [k for k in kinks if lo < k < hi], 1e-13 * (hi - lo)),
-                graded_edges(lo, hi, [x - eps, x + eps], eps / 8.0),
-            )
-            s, w = panel_nodes(edges)
-            total += float(np.sum(w * mu.density(s) / (x - s)))
+        cuts = np.unique(np.clip([a, b, x - e, x + e, *kinks], a, b))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if lo < x - e or hi > x + e:
+                edges = graded_edges(lo, hi, [lo, hi], e)
+                s, wd = _density_panels(mu, edges[:-1], edges[1:])
+                total += float(np.sum(wd / (x - s)))
     return total
 
 
-def _pv_excision(mu, x):
-    hull_lo, hull_hi = mu.hull()
-    span = hull_hi - hull_lo
-    edge_set = {e for piece in mu.support for e in piece}
-    if x in edge_set and mu.density(x) > 0.0:
-        raise ValueError("non-integrable: positive density at a support edge")
-    gaps = [abs(x - e) for e in edge_set if e != x]
-    gaps += [abs(x - k) for k in mu.kink_points() if k != x]
-    eps0 = min(gaps) * 0.5 if gaps else span * 0.125
-    eps0 = min(eps0, span * 0.125)
-    ladder = [_excised_integral(mu, x, eps0 / 2.0**j) for j in range(7)]
-    # the excised integral expands in odd powers of the excision radius;
-    # eliminate orders 1, 3, 5 over the halving ladder
-    r = np.array(ladder)
-    for order in (1, 3, 5):
-        f = 2.0**order
-        r = (f * r[1:] - r[:-1]) / (f - 1.0)
-    return float(r[-1])
-
-
 def hilbert_transform(mu, x):
-    """Principal value of int dmu(s)/(x - s); ordinary integral off support."""
+    """Principal value of int dmu(s)/(x - s); the ordinary integral off the support.
+
+    Exact sums over atoms; Re G on the axis for the semicircle and uniform
+    kinds; coeff ((c - a)^kappa - (b - c)^kappa)/kappa at a power density's
+    centre c; else one excision (``_pv_excision``) on the support.  An atom
+    at x, or a support end with positive density, diverges: ValueError.
+    """
     mu = _as_measure(mu)
     x = float(x)
     _check_finite(x)
@@ -210,18 +210,16 @@ def hilbert_transform(mu, x):
             raise ValueError("non-integrable: an atom sits at x")
         terms = 1.0 / (x - pts)
         return math.fsum(terms) / pts.size
-    if mu.kind == "uniform":
-        a, b = mu.support[0]
-        if x == a or x == b:
-            raise ValueError("non-integrable: logarithmic endpoint divergence")
-        return math.log(abs((x - a) / (x - b))) / (b - a)
-    if mu.kind == "semicircle":
-        (v,) = mu.params
-        if x * x <= 4.0 * v:
-            return x / (2.0 * v)
-        return (x - math.copysign(math.sqrt(x * x - 4.0 * v), x)) / (2.0 * v)
+    if x in np.ravel(mu.support) and mu.density(x) > 0.0:
+        raise ValueError("non-integrable: positive density at a support edge")
+    if _closed(mu):
+        return float(_stieltjes_closed(mu, x).real)
     if _support_distance(mu, x) > 0.0:
         return _cauchy_panels(mu, complex(x)).real
+    if mu.kind == "power" and x == mu.params[1]:
+        kappa, c, coeff = mu.params
+        ((a, b),) = mu.support
+        return coeff * ((c - a) ** kappa - (b - c) ** kappa) / kappa
     return _pv_excision(mu, x)
 
 
@@ -265,30 +263,18 @@ def second_moment_integral(mu, x):
         if np.min(np.abs(diffs)) == 0.0:
             return math.inf
         return math.fsum(1.0 / diffs**2) / pts.size
-    if mu.kind == "uniform":
-        a, b = mu.support[0]
-        if a <= x <= b:
-            return math.inf
-        return (1.0 / (x - b) - 1.0 / (x - a)) / (b - a)
-    if mu.kind == "semicircle":
-        (v,) = mu.params
-        if x * x <= 4.0 * v:
-            return math.inf
-        return (abs(x) / math.sqrt(x * x - 4.0 * v) - 1.0) / (2.0 * v)
-    if mu.kind == "power":
+    if mu.kind == "piecewise":
+        return _piecewise_second_moment(mu, x)
+    if _support_distance(mu, x) > 0.0:
+        if _closed(mu):
+            return -float(_closed_dg(mu, complex(x)).real)
+        s, wd = _rule_rows(mu, np.array([x]), 0.0)
+        return float(np.sum(wd[0] / (x - s[0]) ** 2))
+    if mu.kind == "power" and x == mu.params[1] and mu.params[0] > 1.0:
         kappa, c, coeff = mu.params
-        a, b = mu.support[0]
-        if x < a or x > b:
-            s, wd = _rule_rows(mu, np.array([x]), 0.0)
-            return float(np.sum(wd[0] / (x - s[0]) ** 2))
-        if x == c:
-            if kappa <= 1.0:
-                return math.inf
-            total = (b - c) ** (kappa - 1.0) if b > c else 0.0
-            total += (c - a) ** (kappa - 1.0) if c > a else 0.0
-            return coeff * total / (kappa - 1.0)
-        return math.inf  # density positive at x
-    return _piecewise_second_moment(mu, x)
+        ((a, b),) = mu.support
+        return coeff * ((b - c) ** (kappa - 1.0) + (c - a) ** (kappa - 1.0)) / (kappa - 1.0)
+    return math.inf  # density positive at x, or vanishing too slowly there
 
 
 def t_critical(mu, x_star):
@@ -316,12 +302,7 @@ def _closed_lorentz_sums(mu, xs, big_y):
     z = xs + 1j * y
     lo, hi = mu.support[0]
     lsum = -np.imag(_stieltjes_closed(mu, z)) / y
-    if mu.kind == "semicircle":
-        (v,) = mu.params
-        dg = (1.0 - z / (np.sqrt(z - hi) * np.sqrt(z + hi))) / (2.0 * v)
-    else:
-        dg = (1.0 / (z - lo) - 1.0 / (z - hi)) / (hi - lo)
-    msum = (np.real(dg) + lsum) / (2.0 * big_y)
+    msum = (np.real(_closed_dg(mu, z)) + lsum) / (2.0 * big_y)
     far = y < 1e-4 * np.maximum(np.maximum(lo - xs, xs - hi), 0.0)
     if np.any(far):
         x = xs[far]
@@ -330,6 +311,22 @@ def _closed_lorentz_sums(mu, xs, big_y):
         else:
             msum[far] = ((x - hi) ** -3 - (x - lo) ** -3) / (3.0 * (hi - lo))
     return lsum, msum
+
+
+def _density_panels(mu, lo, hi):
+    """Nodes s and weights w * density(s) on the panels [lo_i, hi_i], one
+    row of 16 each: Gauss-Legendre, and on the panels that end at a power
+    density's kink c Gauss-Jacobi, with the weight coeff |s - c|^kappa
+    folded in, which integrate the kink exactly."""
+    s, w = gauss_panels(lo, hi)
+    w *= mu.density(s)
+    if mu.kind == "power" and mu.kink_points():
+        kappa, kink, coeff = mu.params
+        at = (lo == kink) | (hi == kink)
+        far = np.where(lo[at] == kink, hi[at], lo[at])
+        s[at], w[at] = jacobi_panels(kink, far - kink, kappa)
+        w[at] *= coeff
+    return s, w
 
 
 def _rule_rows(mu, xs, y):
@@ -375,15 +372,7 @@ def _rule_rows(mu, xs, y):
                 np.concatenate([row, krow[inside]]), np.concatenate([edges, kedges[inside]])
             )
         inner = row[1:] == row[:-1]
-        lo, hi = edges[:-1][inner], edges[1:][inner]
-        s, w = gauss_panels(lo, hi)
-        w *= mu.density(s)
-        if kink is not None:
-            kappa, _, coeff = mu.params
-            at = (lo == kink) | (hi == kink)
-            far = np.where(lo[at] == kink, hi[at], lo[at])
-            s[at], w[at] = jacobi_panels(kink, far - kink, kappa)
-            w[at] *= coeff
+        s, w = _density_panels(mu, edges[:-1][inner], edges[1:][inner])
         rows.append(np.repeat(row[1:][inner], s.shape[1]))
         nodes.append(s.ravel())
         weights.append(w.ravel())
@@ -709,38 +698,25 @@ class FreeConvolutionState:
         """Brackets [a, b] with H(a) <= xi <= H(b), and H - xi at both ends.
 
         Inside the graph's range, adjacent graph points and their stored H
-        values; outside it, steps away from the hull that double in length.
+        values.  Beyond it xi itself closes the bracket: the graph ends at
+        least 2 sqrt(t) outside the hull, so y = 0 there and H(x) - x =
+        t G(x) has the sign of x - hull, at xi as at the graph's end.
         """
         g = self._ensure_graph()
         i = np.searchsorted(g.hs_mono, xi)
         ia, ib = np.maximum(i - 1, 0), np.minimum(i, g.xs.size - 1)
         a, b = g.xs[ia], g.xs[ib]
         fa, fb = g.hs[ia] - xi, g.hs[ib] - xi
-        hull_lo, hull_hi = self.mu.hull()
-        reach = np.abs(xi) + self.sqrt_t + (hull_hi - hull_lo) + 10.0
-        step = max(1.0, self.sqrt_t)
         out = np.nonzero(~((fa <= 0.0) & (fb >= 0.0)))[0]
-        while out.size:
+        if out.size:
+            # xi is the root to an ulp where rounding leaves H(xi) = xi, or
+            # flips the sign (the semicircle's closed G far out)
+            f = self._h_graph(xi[out]) - xi[out]
             left = fa[out] > 0.0
-            lft, rgt = out[left], out[~left]
-            # the end that overshot becomes the other end
-            b[lft], fb[lft] = a[lft], fa[lft]
-            a[rgt], fa[rgt] = b[rgt], fb[rgt]
-            a[lft] -= step
-            b[rgt] += step
-            x = np.where(left, a[out], b[out])
-            f = self._h_graph(x) - xi[out]
-            fa[lft], fb[rgt] = f[left], f[~left]
-            # a NaN counts as no sign change
-            bad = np.where(left, ~(f <= 0.0), ~(f >= 0.0))
-            far = bad & (np.maximum(hull_lo - x, x - hull_hi) > reach[out])
-            if np.any(far):
-                k = out[far][0]
-                raise BracketingError(
-                    f"no bracket within [{a[k]:.6g}, {b[k]:.6g}] for xi={xi[k]!r}"
-                )
-            out = out[bad]
-            step *= 2.0
+            f[np.where(left, f > 0.0, f < 0.0)] = 0.0
+            lm, rm = left | (f == 0.0), ~left | (f == 0.0)
+            a[out[lm]], fa[out[lm]] = xi[out[lm]], f[lm]
+            b[out[rm]], fb[out[rm]] = xi[out[rm]], f[rm]
         return a, b, fa, fb
 
     def _solve(self, xi):

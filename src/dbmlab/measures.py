@@ -216,12 +216,11 @@ class MeasureSpec:
         return self.support[0][0], self.support[-1][1]
 
     def kink_points(self):
-        """Interior points where the density is not smooth."""
+        """Where the density is not smooth: a power density's centre, unless
+        kappa is even, and a piecewise one's piece ends."""
         if self.kind == "power":
             kappa, c, _ = self.params
-            if kappa != int(kappa) or kappa < 2:
-                return (c,)
-            return ()
+            return (c,) if kappa % 2.0 != 0.0 else ()
         if self.kind == "piecewise":
             return tuple(
                 edge for interval in self.support for edge in interval

@@ -115,12 +115,12 @@ def test_hilbert_symmetric_power_center_is_zero():
 
 
 def test_hilbert_piecewise_excision_matches_log_ratio():
-    # uniform density expressed as a piecewise block exercises the
-    # excision + Richardson route against the closed form
+    # the uniform density as a piecewise block takes the single-excision
+    # route: the band integral and graded stretches, against the closed form
     mu = MeasureSpec.piecewise([((-1.0, 1.0), (0.5,))])
-    assert hilbert_transform(mu, 0.5) == pytest.approx(0.5 * math.log(3.0), abs=1e-9)
+    assert hilbert_transform(mu, 0.5) == pytest.approx(0.5 * math.log(3.0), abs=1e-13)
     assert hilbert_transform(mu, -0.25) == pytest.approx(
-        0.5 * math.log(0.75 / 1.25), abs=1e-9
+        0.5 * math.log(0.75 / 1.25), abs=1e-13
     )
 
 
@@ -387,6 +387,27 @@ def test_inverse_map_far_outside():
     assert abs(state.H_raw(z) - 50.0) <= 1e-10 * 50.0
     with pytest.raises(ValueError):
         state.inverse(float("nan"))
+
+
+@pytest.mark.parametrize("name", ["uniform", "semicircle", "power-half", "atoms"])
+def test_inverse_beyond_the_graph(name):
+    # xi itself closes a bracket beyond the graph's range, where y = 0 and
+    # H(x) - x = t G(x) has the sign of x - hull
+    mu = {
+        "uniform": UNIFORM,
+        "semicircle": SEMI,
+        "power-half": MeasureSpec.power(0.5, 0.0, (-1.0, 1.0)),
+        "atoms": InitialConfiguration.from_quantiles(UNIFORM, 50),
+    }[name]
+    state = FreeConvolutionState(mu, 0.3)
+    g = state._ensure_graph()
+    xi = np.array([-1e12, -1e6, -40.0, 40.0, 1e6, 1e12])
+    assert np.all((xi < g.hs[0]) | (xi > g.hs_mono[-1]))
+    zs = state.inverse(xi)
+    assert np.all(zs.imag == 0.0)
+    for z, x in zip(zs, xi):
+        assert abs(state.H_raw(complex(z)) - x) <= freeconv._XTOL + freeconv._RTOL * abs(x)
+    assert np.all(psi_t(state, xi) == 0.0)
 
 
 def test_psi_weak_continuity_small_t():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dbmlab import freeconv, panels
+from dbmlab.freeconv import hilbert_transform
 from dbmlab.measures import MeasureSpec
 from dbmlab.panels import graded_edges, panel_nodes
 
@@ -243,10 +244,22 @@ def test_cauchy_panels_match_closed_forms(name, y):
         assert abs(freeconv._cauchy_panels(mu, complex(x, y)) - ref) <= 1e-13 * abs(ref), x
 
 
+@pytest.mark.parametrize("name", sorted(k for k in CLOSED_FORMS if k.startswith("power")))
+def test_principal_values_match_closed_forms(name):
+    # on the axis Re G is the principal value: one excision on the support,
+    # the closed form at the centre c (for "at an end" the support end -1),
+    # and the ordinary integral 1e-6 left of that end
+    mu, closed = CLOSED_FORMS[name]
+    _, c, _ = mu.params
+    for x in [*np.linspace(-1.0, 1.0, 41)[1:-1], c, c - 1e-6, c + 1e-6]:
+        ref = closed(complex(x, 1e-200)).real
+        assert abs(hilbert_transform(mu, x) - ref) <= 1e-13 * max(1.0, abs(ref)), x
+
+
 # QUADPACK reports that roundoff keeps it from its 1.2e-14 target; what it
 # returns still meets the rule to 5e-15
 @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
-@pytest.mark.parametrize("kappa", [0.3, 1.5])
+@pytest.mark.parametrize("kappa", [0.3, 1.5, 3.0])
 def test_rule_sums_match_quad_on_each_side_of_the_kink(kappa):
     # L = int dmu/((x - s)^2 + Y) and M = int dmu/((x - s)^2 + Y)^2 on the
     # rule graded at y = sqrt(Y), each side of the kink c on its own, against
