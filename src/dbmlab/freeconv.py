@@ -115,7 +115,8 @@ def _stieltjes_closed(mu, z):
         # principal square roots keep Im G < 0 in the upper half plane and
         # give the 1/z-decaying branch on the real axis outside the support
         w = np.sqrt(z - e) * np.sqrt(z + e)
-        return (z - w) / (2.0 * v)
+        # (z - w)/(2v), written without its cancellation far out on the axis
+        return 2.0 / (z + w)
     a, b = mu.support[0]
     # Im G from the angle between z - a and z - b in one arctan2: left of
     # the support Im log(z - a) - Im log(z - b) cancels two values near pi
@@ -128,7 +129,7 @@ def _closed_dg(mu, z):
     """Closed-form G'(z) for the semicircle and uniform kinds; array-safe."""
     lo, hi = mu.support[0]
     if mu.kind == "semicircle":
-        return (1.0 - z / (np.sqrt(z - hi) * np.sqrt(z + hi))) / (2.0 * mu.params[0])
+        return -_stieltjes_closed(mu, z) / (np.sqrt(z - hi) * np.sqrt(z + hi))
     return (1.0 / (z - lo) - 1.0 / (z - hi)) / (hi - lo)
 
 
@@ -193,13 +194,31 @@ def _pv_excision(mu, x):
     return total
 
 
+def _one_sided_densities(mu, x):
+    """The density's limits at x from the left and from the right: each
+    piece's own value at an end of it that is x, 0 where no piece is."""
+    left = right = 0.0
+    for i, (a, b) in enumerate(mu.support):
+        if x not in (a, b):
+            continue
+        if mu.kind == "piecewise":
+            val = float(np.polynomial.polynomial.polyval(x, mu.params[i][1]))
+        else:
+            val = float(mu.density(x))
+        if x == b:
+            left = val
+        if x == a:
+            right = val
+    return left, right
+
+
 def hilbert_transform(mu, x):
     """Principal value of int dmu(s)/(x - s); the ordinary integral off the support.
 
     Exact sums over atoms; Re G on the axis for the semicircle and uniform
     kinds; coeff ((c - a)^kappa - (b - c)^kappa)/kappa at a power density's
     centre c; else one excision (``_pv_excision``) on the support.  An atom
-    at x, or a support end with positive density, diverges: ValueError.
+    at x, or a support end where the density jumps, diverges: ValueError.
     """
     mu = _as_measure(mu)
     x = float(x)
@@ -210,8 +229,10 @@ def hilbert_transform(mu, x):
             raise ValueError("non-integrable: an atom sits at x")
         terms = 1.0 / (x - pts)
         return math.fsum(terms) / pts.size
-    if x in np.ravel(mu.support) and mu.density(x) > 0.0:
-        raise ValueError("non-integrable: positive density at a support edge")
+    if x in np.ravel(mu.support):
+        left, right = _one_sided_densities(mu, x)
+        if abs(left - right) > 1e-12 * max(abs(left), abs(right)):
+            raise ValueError("non-integrable: the density jumps at a support edge")
     if _closed(mu):
         return float(_stieltjes_closed(mu, x).real)
     if _support_distance(mu, x) > 0.0:

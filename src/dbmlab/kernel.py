@@ -36,10 +36,12 @@ from .threads import default_threads, run_items
 _DROP_CUTOFF = 60.0
 
 # bytes of one block's largest temporary: an x- or y-block of the Lagrange sums,
-# the stacked real Cauchy blocks of a w-block in _loop_sum or any product
-# made from them, or each real temporary of a q-block in
+# a w-block's stacked real proxy block or near-leaf block in _loop_sum or
+# any product made from them, or each real temporary of a q-block in
 # RescaledKernelFrame._phi_parts.  The bound holds per block, whatever the
-# thread count: each thread of _loop_sum works on one block at a time
+# thread count: each thread of _loop_sum works on one block at a time.  A
+# w-block of _loop_sum holds at most _MAX_BLOCK loop nodes, so there the
+# bound binds only past about 1000 proxies, a z-line of over 6000 nodes
 _BLOCK_BYTES = 2_000_000
 
 # the Lagrange route's first working digits, the digits more at which each
@@ -80,13 +82,15 @@ def _newton_order(pts: np.ndarray) -> np.ndarray:
 def _newton_coefficients(b: np.ndarray, taylor: list) -> np.ndarray:
     """Divided differences f[b_0..b_m], m < n, down each column, from
     taylor[r] = f^(r)(b_i)/r! in row i for r below the longest run of equal
-    points: along such a run the divided differences are those coefficients."""
+    points: along such a run the divided differences are those coefficients.
+    Each point difference is inverted once and its reciprocal multiplies
+    every column: a Decimal division costs about three products."""
     c = taylor[0].copy()
     for j in range(1, b.size):
         d = b[j:] - b[:-j]
         same = np.flatnonzero(b[j:] == b[:-j]) if j < len(taylor) else []
-        d[same] = 1
-        c[j:] = (c[j:] - c[j - 1 : -1]) / d[:, None]
+        d[same] = Decimal(1)
+        c[j:] = (c[j:] - c[j - 1 : -1]) * (1 / d)[:, None]
         for i in same:
             c[j + i] = taylor[j][j + i]
     return c
@@ -321,28 +325,74 @@ def correlation_function(ev: KernelEvaluator, pts) -> float:
 
 # -- rescaled double-contour frames ---------------------------------------
 
+# The z-line sums of _loop_sum go through proxies.  The z nodes are cut into
+# leaves of _LEAF consecutive nodes; a leaf acts on a target past _NEAR of its
+# radii from its centre as _P charges at the first-kind Chebyshev points of
+# its span, and on a nearer target node by node.  In the leaf's own variable
+# s', interpolating 1/(s - p) at those points errs by T_P(s')/T_P(p') of
+# each term, and |T_P(p')| >= (rho^P - rho^-P)/2 with rho >= 3 + sqrt(8) the
+# Bernstein ellipse through any |p'| >= 3: past _NEAR radii each term is off
+# by at most 2/(rho^P - rho^-P) = 1.0e-15 of itself
+_LEAF = 128
+_P = 20
+_NEAR = 3.0
+_ANGLES = (2 * np.arange(_P) + 1) * np.pi / (2 * _P)
+_CHEB = np.cos(_ANGLES)
+# barycentric weights of the first-kind points, on any interval
+_BARY = (-1.0) ** np.arange(_P) * np.sin(_ANGLES)
+# loop nodes a w-block of _loop_sum holds at most, whatever its bytes: a
+# loop of a few hundred nodes still makes a block for each thread
+_MAX_BLOCK = 128
+
+
+def _z_leaves(sig: np.ndarray, amat: np.ndarray):
+    """The z-line's leaves: their centres, squared near radii and proxy
+    points, and the proxy weights, [Re A~; Im A~] with A~ = L^T a per leaf,
+    L the barycentric Lagrange matrix of the leaf's nodes at its points."""
+    nz = sig.size
+    starts = np.arange(0, nz, _LEAF)
+    lo, hi = sig[starts], sig[np.minimum(starts + _LEAF, nz) - 1]
+    mid, rad = (lo + hi) / 2.0, (hi - lo) / 2.0
+    pts = mid[:, None] + rad[:, None] * _CHEB
+    d = sig[:, None] - pts[np.arange(nz) // _LEAF]
+    # a node on a proxy point puts its weight there; a leaf of one node
+    # shares it among its P coinciding points
+    hit = d == 0.0
+    lag = np.where(hit.any(axis=1, keepdims=True), hit, _BARY / np.where(hit, 1.0, d))
+    lag /= np.sum(lag, axis=1, keepdims=True)
+    pmat = np.concatenate(
+        [amat[:, i : i + _LEAF] @ lag[i : i + _LEAF] for i in starts.tolist()], axis=1
+    )
+    return mid, (_NEAR * rad) ** 2, pts.ravel(), pmat
+
+
 def _loop_sum(x0: float, sig: np.ndarray, a: np.ndarray, wn: np.ndarray, q: np.ndarray):
     """Double sums of a(z) q(w) / (z - w) over both halves of both contours, times i.
 
-    The z-line is x0 + i*sig (sig > 0) with weight columns ``a`` (Z x U),
-    mirrored to x0 - i*sig with conj(a); the loop is ``wn`` with weight rows
-    ``-q`` (W x V), mirrored to conj(wn) with conj(q); the result is U x V.
-    The loop nodes are cut into blocks by size alone.  Up to default_threads()
-    threads take the blocks as they come free, each block's product goes to
-    its own slot, and the slots are added in block order: the sum is the
-    same bits at any thread count.
+    The z-line is x0 + i*sig (sig > 0, ascending) with weight columns ``a``
+    (Z x U), mirrored to x0 - i*sig with conj(a); the loop is ``wn`` with
+    weight rows ``-q`` (W x V), mirrored to conj(wn) with conj(q); the result
+    is U x V.  The z-line acts through the proxies of its leaves (see
+    _z_leaves).  The loop nodes are cut into blocks by size alone.  Up to
+    default_threads() threads take the blocks as they come free, each
+    block's product goes to its own slot, and the slots are added in block
+    order: the sum is the same bits at any thread count.
     """
-    nz, nu = a.shape
+    nu = a.shape[1]
     nv = q.shape[1]
     amat = np.concatenate([a.real.T, a.imag.T])
-    block = max(1, _BLOCK_BYTES // (16 * max(nz, 2 * nu, 2 * nv)))
+    leaves = _z_leaves(sig, amat)
+    nproxy = leaves[2].size
+    block = max(1, min(_MAX_BLOCK, _BLOCK_BYTES // (16 * max(nproxy, _LEAF, 2 * nu, 2 * nv))))
     starts = range(0, wn.size, block)
     workers = min(default_threads(), len(starts))
     # the slots of one round stay under _BLOCK_BYTES, or hold one block a thread
     per_round = max(workers, _BLOCK_BYTES // (16 * nu * nv))
-    # each thread's transposed Cauchy blocks, stacked: rows of inv, then rows
-    # of dy.  Taken by the caller, so that no worker's own heap keeps them
-    bufs = [np.empty((2 * min(block, wn.size), nz)) for _ in range(workers)]
+    # each thread's transposed proxy block and near block, each stacked: rows
+    # of inv, then rows of dy.  Taken by the caller, so that no worker's own
+    # heap keeps them
+    rows = 2 * min(block, wn.size)
+    bufs = [(np.empty((rows, nproxy)), np.empty((rows, _LEAF))) for _ in range(workers)]
     ssum = np.zeros((nu, nv), dtype=complex)
     for first in range(0, len(starts), per_round):
         slots = starts[first : first + per_round]
@@ -350,7 +400,7 @@ def _loop_sum(x0: float, sig: np.ndarray, a: np.ndarray, wn: np.ndarray, q: np.n
 
         def product(j, w, slots=slots, parts=parts):
             sl = slice(slots[j], slots[j] + block)
-            parts[j] = _block_product(x0, sig, amat, wn[sl], q[sl], bufs[w])
+            parts[j] = _block_product(x0, sig, amat, leaves, wn[sl], q[sl], bufs[w])
 
         run_items(product, len(slots), workers)
         for part in parts:
@@ -358,7 +408,26 @@ def _loop_sum(x0: float, sig: np.ndarray, a: np.ndarray, wn: np.ndarray, q: np.n
     return 1j * ssum
 
 
-def _block_product(x0, sig, amat, wn, qs, buf):
+def _cauchy(s, wy, dx2, out, skip=None):
+    """The stacked real Cauchy block [inv; dy*inv] of the targets wy + i dx
+    against the real points s, written into ``out`` and returned: dy = s - wy
+    and inv = 1/(dy^2 + dx^2), both 0 where ``skip`` holds."""
+    k = wy.size
+    block = out[: 2 * k, : s.size]
+    inv, dy = block[:k], block[k:]
+    np.subtract(s[None, :], wy[:, None], out=dy)
+    np.multiply(dy, dy, out=inv)
+    inv += dx2[:, None]
+    if skip is not None:
+        # an infinite denominator makes both 0, with no division by 0 for
+        # a target on a point
+        np.putmask(inv, skip, np.inf)
+    np.reciprocal(inv, out=inv)
+    dy *= inv
+    return block
+
+
+def _block_product(x0, sig, amat, leaves, wn, qs, buf):
     """One loop block's term of _loop_sum, before the factor i.
 
     The z weights are contracted first: r1 = a^T @ 1/(z - w) and
@@ -366,24 +435,28 @@ def _block_product(x0, sig, amat, wn, qs, buf):
     [conj q, q] with g = r2 + conj(r1), one product so that its imaginary
     part is the rounding of the mirrored sum.  Every z shares the real part
     x0, so 1/(z - w) = (dx - i dy)/(dx^2 + dy^2) with one real dx = x0 - Re w
-    per column: the Cauchy blocks are real, and one real product per loop
-    half contracts both of them against the real and imaginary weights.
+    per column and dy = Im z - Im w: the Cauchy blocks are real, and
+    1/(z - w) = -i/(Im z - p) for the target p = Im w + i dx.  Per loop half,
+    one real product contracts the proxy weights against the proxy block,
+    in which a leaf within its near radius of a target is 0, and then each
+    such leaf's own nodes are contracted for its near targets alone.
     """
     nu = amat.shape[0] // 2
+    mid, reach2, pts, pmat = leaves
+    far_buf, near_buf = buf
     dx = x0 - wn.real
     dx2 = dx * dx
     k = dx.size
-    cauchy = buf[: 2 * k]
-    inv, dy = cauchy[:k], cauchy[k:]
     r = []
     for wy in (wn.imag, -wn.imag):
-        # 1/(z - w) = dx*inv - i*dy*inv for w = Re w + i*wy
-        np.subtract(sig[None, :], wy[:, None], out=dy)
-        np.multiply(dy, dy, out=inv)
-        inv += dx2[:, None]
-        np.reciprocal(inv, out=inv)
-        dy *= inv
-        pm = amat @ cauchy.T
+        near = (mid[None, :] - wy[:, None]) ** 2 + dx2[:, None] <= reach2
+        pm = pmat @ _cauchy(pts, wy, dx2, far_buf, np.repeat(near, _P, axis=1)).T
+        for leaf in np.flatnonzero(np.any(near, axis=0)).tolist():
+            at = np.flatnonzero(near[:, leaf])
+            zs = slice(leaf * _LEAF, (leaf + 1) * _LEAF)
+            direct = amat[:, zs] @ _cauchy(sig[zs], wy[at], dx2[at], near_buf).T
+            pm[:, at] += direct[:, : at.size]
+            pm[:, k + at] += direct[:, at.size :]
         p, m = pm[:, :k], pm[:, k:]
         r.append((p[:nu] * dx + m[nu:]) + 1j * (p[nu:] * dx - m[:nu]))
     g = r[1] + np.conj(r[0])

@@ -47,6 +47,19 @@ def test_stieltjes_semicircle_closed_form():
     assert stieltjes(SEMI, -3.0) == pytest.approx(-(3.0 - math.sqrt(5.0)) / 2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("v", [1.0, 0.37])
+@pytest.mark.parametrize("x", [1e6, 1e8, -1e8])
+def test_stieltjes_semicircle_far_on_the_axis(v, x):
+    # G = 1/x + v/x^3 + 2v^2/x^5 + ... and -G' = 1/x^2 + 3v/x^4 + ...;
+    # (z - w)/(2v) cancels out here (49% off at 1e8 for v = 1), 2/(z + w)
+    # does not
+    mu = MeasureSpec.semicircle(v)
+    ref = 1.0 / x + v / x**3
+    assert abs(stieltjes(mu, x) - ref) <= 1e-14 * abs(ref)
+    ref = 1.0 / x**2 + 3.0 * v / x**4
+    assert abs(second_moment_integral(mu, x) - ref) <= 1e-14 * ref
+
+
 def test_stieltjes_uniform_log_ratio():
     z = 2.0 + 0.5j
     expected = 0.5 * (np.log(z + 1.0) - np.log(z - 1.0))
@@ -122,6 +135,27 @@ def test_hilbert_piecewise_excision_matches_log_ratio():
     assert hilbert_transform(mu, -0.25) == pytest.approx(
         0.5 * math.log(0.75 / 1.25), abs=1e-13
     )
+
+
+def test_hilbert_raises_where_the_density_jumps_at_a_shared_edge():
+    # -s on [-1, 0] and 1/2 on [0, 1]: 0 from the left, 1/2 from the right
+    # at x = 0, where the integral diverges like log
+    mu = MeasureSpec.piecewise([((-1.0, 0.0), (0.0, -1.0)), ((0.0, 1.0), (0.5,))])
+    for x in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            hilbert_transform(mu, x)
+
+
+def test_hilbert_continuous_join_is_a_principal_value():
+    # the tent 1 - |s| joins continuously at 0, where it is odd about x = 0;
+    # 1/2 + s/2 on both pieces gives (1 + x)/2 log((1 + x)/(1 - x)) - 1
+    tent = MeasureSpec.piecewise([((-1.0, 0.0), (1.0, 1.0)), ((0.0, 1.0), (1.0, -1.0))])
+    assert hilbert_transform(tent, 0.0) == 0.0
+    assert hilbert_transform(tent, -1.0) == pytest.approx(-math.log(4.0), abs=1e-13)
+    line = MeasureSpec.piecewise([((-1.0, 0.0), (0.5, 0.5)), ((0.0, 1.0), (0.5, 0.5))])
+    for x in (0.0, -0.5, 0.5):
+        ref = 0.5 * (1.0 + x) * math.log((1.0 + x) / (1.0 - x)) - 1.0
+        assert hilbert_transform(line, x) == pytest.approx(ref, abs=1e-13), x
 
 
 def test_hilbert_empirical_off_atoms():

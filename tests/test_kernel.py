@@ -597,6 +597,48 @@ def test_column_matches_dense_double_sum(make_frame, monkeypatch):
     assert any(np.max(resid) > 0.0 for _, resid, _ in got.values())
 
 
+def _line_and_loop(sig, seed):
+    """Weights on the z-line x0 + i sig, and a loop through the line: an
+    arc, and as many nodes at Re w = x0 spread up to twice the line's end."""
+    rng = np.random.default_rng(seed)
+    x0 = 0.25
+    a = (rng.standard_normal((sig.size, 3)) + 1j * rng.standard_normal((sig.size, 3))) / (
+        1.0 + sig[:, None]
+    )
+    theta = np.linspace(0.05, np.pi - 0.05, 300)
+    arc = x0 + np.cos(theta) + 0.5j * sig[-1] * np.sin(theta)
+    on_line = x0 + 1j * rng.uniform(0.0, 2.0 * sig[-1], 300)
+    wn = np.concatenate([arc, on_line])
+    q = rng.standard_normal((wn.size, 4)) + 1j * rng.standard_normal((wn.size, 4))
+    return x0, a, wn, q
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["target-on-a-proxy-point", "geometric-tail", "shorter-than-a-leaf"],
+)
+def test_loop_sum_matches_dense_sum(case):
+    # the z-line acts through Chebyshev proxies of its leaves on far loop
+    # nodes and node by node on near ones; the reference is one plain
+    # Cauchy matrix over the same nodes
+    count = {"target-on-a-proxy-point": 700, "geometric-tail": 300, "shorter-than-a-leaf": 50}
+    sig = (np.arange(count[case]) + 0.5) * 0.01
+    if case == "geometric-tail":
+        # as on a frame's z-line, steps growing by 1.35 after a fine band
+        sig = np.concatenate([sig, sig[-1] + np.cumsum(0.01 * 1.35 ** np.arange(1, 21))])
+    x0, a, wn, q = _line_and_loop(sig, seed=len(case))
+    if case == "target-on-a-proxy-point":
+        # a loop node at Re w = x0 on a proxy point p of the second leaf: its
+        # own leaf is near it, where 1/(s - p) is infinite at s = p
+        amat = np.concatenate([a.real.T, a.imag.T])
+        pts = kernel._z_leaves(sig, amat)[2]
+        wn[-1] = x0 + 1j * pts[kernel._P + 7]
+    got = kernel._loop_sum(x0, sig, a, wn, q)
+    ref = dense_loop_sum(x0, sig, a, wn, q)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), case
+
+
 def _count_block_levels(frame, monkeypatch):
     levels = []
     block = frame._block
