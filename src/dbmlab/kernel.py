@@ -126,6 +126,8 @@ class KernelEvaluator:
         self._b = np.array([Decimal(v) for v in self.points[self._order].tolist()], dtype=object)
         self._run = int(np.max(np.unique(self.points, return_counts=True)[1]))
         self._diag: dict[float, float] = {}  # x -> K(x, x)
+        # the Gaussians of the certification under way, by block of y
+        self._exps: dict[bytes, np.ndarray] = {}
 
     @property
     def quadrature_m(self) -> int:
@@ -155,12 +157,19 @@ class KernelEvaluator:
     def _gauss_newton(self, ys: np.ndarray) -> np.ndarray:
         """g_y[b_0..b_m], n x Y, at the context's digits, for g_y(a) = exp(-kappa
         (a - y)^2), kappa = n/(2t), whose Taylor coefficients at a repeated point
-        a obey (r+1) e_{r+1} = -2 kappa (u e_r + e_{r-1}), u = a - y."""
+        a obey (r+1) e_{r+1} = -2 kappa (u e_r + e_{r-1}), u = a - y.  Within a
+        certification each Gaussian is taken once, at the higher digits, and
+        rounded to the lower: Decimal exp is correctly rounded, so that is the
+        direct exp but for a double rounding."""
         kappa = self.n / (2 * Decimal(self.t))
         out = []
         for sl in _x_blocks(ys.size, 128 * (self._run + 2) * self.n):
             u = self._b[:, None] - np.array([Decimal(v) for v in ys[sl].tolist()], dtype=object)
-            e = [np.exp(-kappa * u**2)]
+            key = ys[sl].tobytes()
+            if key not in self._exps:
+                self._exps[key] = np.exp(-kappa * u**2)
+            # rounded to the context's digits, which only the lower pass changes
+            e = [+self._exps[key]]
             for r in range(self._run - 1):
                 e.append(-2 * kappa * (u * e[r] + (e[r - 1] if r else 0)) / (r + 1))
             out.append(_newton_coefficients(self._b, e))
@@ -182,7 +191,10 @@ class KernelEvaluator:
         scale: the larger of its size and exp(scale(value)).  The first axis
         of the values runs along xs."""
         while True:
-            hi, lo = [_at(self.digits + extra, compute) for extra in (_CHECK_DIGITS, 0)]
+            try:
+                hi, lo = [_at(self.digits + extra, compute) for extra in (_CHECK_DIGITS, 0)]
+            finally:
+                self._exps.clear()
             with np.errstate(divide="ignore", invalid="ignore"):
                 size = np.log(np.abs(hi))
                 if scale is not None:

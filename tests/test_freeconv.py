@@ -727,6 +727,78 @@ def test_heights_do_not_depend_on_the_batch(mu, t):
         assert g1 == g[k], xs[k]
 
 
+def _seeded_cases():
+    half = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
+    gapped = InitialConfiguration.equispaced(-1.0, 1.0, 100).with_gap(0.0, 0.3)
+    gap40 = InitialConfiguration.equispaced(-1.0, 1.0, 40).with_gap(0.0, 0.3)
+    return [
+        *((InitialConfiguration.from_quantiles(UNIFORM, n), 0.5) for n in (50, 200)),
+        # kappa = 1/2 at criterion 7's t_n and below threshold
+        (InitialConfiguration.from_quantiles(half, 50), 0.05 * 50 ** (-1 / 3) * math.log(50) ** 2),
+        (InitialConfiguration.from_quantiles(half, 50), 50 ** (-2 / 3)),
+        # bench/configs/gap.conf, and the n = 40 gap at t = 0.015
+        (gapped, 0.01 * 0.3**2),
+        (gap40, 0.015),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cfg, t", _seeded_cases(),
+    ids=["uniform-n50", "uniform-n200", "half-t_n", "half-sub", "gap-conf", "gap-n40"],
+)
+def test_seeded_heights_match_an_unseeded_solve(cfg, t):
+    # a start from the seed table, on either side of the root, ends where
+    # the start at sqrt(t) _Y_START ends, to rounding, with the same zeros
+    state = FreeConvolutionState(cfg, t)
+    xs = np.linspace(-1.8, 1.8, 3001)
+    seeded = state._y_profile(xs)
+    cold = state._row_points(xs, False, seeded=False)[0]
+    np.testing.assert_array_equal(seeded == 0.0, cold == 0.0)
+    assert np.count_nonzero(cold) > 0 and np.count_nonzero(cold == 0.0) > 0
+    pos = cold > 0.0
+    assert np.max(np.abs(seeded - cold)[pos] / cold[pos]) <= 1e-12
+
+
+def test_seed_table_is_lazy_and_a_function_of_points_and_t():
+    # no table until the first height; then 129 heights solved from the
+    # start height over the graph's range, the same for every state of
+    # (points, t), so heights do not depend on what the state did before
+    cfg = InitialConfiguration.from_quantiles(UNIFORM, 100)
+    state = FreeConvolutionState(cfg, 0.5)
+    assert state._seeds is None
+    state._ensure_graph()
+    xs = np.linspace(-1.6, 1.6, 97)
+    after_graph = state._y_profile(xs)
+    grid, heights = state._seeds
+    lo, hi, _ = state._graph_range()
+    assert grid.size == freeconv._SEED_POINTS and grid[0] == lo and grid[-1] == hi
+    np.testing.assert_array_equal(heights, state._row_points(grid, False, seeded=False)[0])
+    fresh = FreeConvolutionState(cfg, 0.5)
+    np.testing.assert_array_equal(fresh._y_profile(xs), after_graph)
+    np.testing.assert_array_equal(fresh._seeds[1], heights)
+
+
+def test_seeded_heights_start_on_either_side():
+    # a start at twice the root, at the root, and one on a point of height
+    # 0 give the root, the root and 0
+    cfg = InitialConfiguration.from_quantiles(UNIFORM, 50)
+    t = 0.5
+    state = FreeConvolutionState(cfg, t)
+    xs = np.array([-0.5, 1.2, 2.5])
+    root = state._row_points(xs, False, seeded=False)[0]
+    assert root[0] > 0.0 and root[1] > 0.0 and root[2] == 0.0
+    pts = cfg.points
+    dx2 = (xs[:, None] - pts[None, :]) ** 2
+    weights = np.full((1, pts.size), 1.0 / pts.size)
+
+    def sums(i, big_y):
+        return freeconv._row_lorentz_sums(dx2[i], weights, big_y)
+
+    got = freeconv._newton_heights(sums, t, xs.size, np.array([2.0 * root[0], root[1], 0.1]))
+    assert got[2] == 0.0
+    np.testing.assert_allclose(got[:2], root[:2], rtol=1e-13, atol=0.0)
+
+
 def test_batched_graph_points_match_single_points():
     # rows padded to the widest rule must add nothing, also at x = 0, y = 0
     state = FreeConvolutionState(GAPPED, 0.01)

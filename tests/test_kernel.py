@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from dbmlab import kernel
+from dbmlab import freeconv, kernel
 from dbmlab.errors import ConfigError, NonConvergence
 from dbmlab.freeconv import (
     FreeConvolutionState,
@@ -845,6 +845,30 @@ def test_home_heights_match_a_cold_solve():
     width = 1.0 / math.sqrt(bulk._beta(za.real, za.imag))
     wn = bulk._w_contour(za.real, za.imag, width, 2)[0]
     np.testing.assert_array_equal(wn.imag, cold._y_profile(wn.real))
+
+
+def test_seeded_heights_take_few_newton_evaluations(monkeypatch):
+    # started from the seed table, a height takes at most 4 evaluations of
+    # L on average over a bulk n = 200 frame's values, against 6.3 from
+    # sqrt(t) _Y_START
+    frame = _bulk_uniform_frame(200)
+    count = {"points": 0, "rows": 0}
+    newton = freeconv._newton_heights
+
+    def counted(sums, t, size, start=None):
+        count["points"] += size
+
+        def rows(i, big_y):
+            count["rows"] += big_y.size
+            return sums(i, big_y)
+
+        return newton(rows, t, size, start)
+
+    monkeypatch.setattr(freeconv, "_newton_heights", counted)
+    grid = np.asarray(frame.window.u_grid)
+    frame.values(grid, grid)
+    assert count["points"] > 1000
+    assert count["rows"] <= 4 * count["points"]
 
 
 @pytest.mark.parametrize("n", [50, 100, 200])

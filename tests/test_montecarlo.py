@@ -19,7 +19,7 @@ import pytest
 
 from dbmlab import kernel, montecarlo, threads as pool
 from dbmlab.errors import ConfigError, NonConvergence
-from dbmlab.freeconv import make_window
+from dbmlab.freeconv import gap_window, make_window, window_scale
 from dbmlab.fredholm import GapProblem, gap_probability
 from dbmlab.kernel import KernelEvaluator, RescaledKernelFrame, correlation_function
 from dbmlab.measures import InitialConfiguration, MeasureSpec, kolmogorov_distance
@@ -332,6 +332,50 @@ class TestEstimators:
         samples = sample_spectra(cfg, t, 10_000, seed=21)
         freq, se = empirical_gap_frequency(samples, interval)
         assert abs(freq - exact.raw_det) <= 3 * max(se, 1e-4)
+
+
+class TestRealSaddleRegimes:
+    """Monte Carlo against the exact route where a saddle is real, with
+    values far enough from what a wrong kernel gives that the check can fail."""
+
+    def test_closing_gap_matches_fredholm(self):
+        # the gap of half-width 0.3 at 0 is closing at t = 0.06: its centre
+        # stays empty with probability 0.92, 19 SE below the 1 of an open gap
+        cfg = InitialConfiguration.equispaced(-1.0, 1.0, 40).with_gap(0.0, 0.3)
+        t, eps = 0.06, 0.1
+        x_t = gap_window(cfg, t, 0.0, eps).x_star_t
+        interval = (x_t - eps, x_t + eps)
+        exact = gap_probability(GapProblem(KernelEvaluator(cfg, t), interval)).raw_det
+        samples = sample_spectra(cfg, t, 4000, seed=7, threads=2)
+        freq, se = empirical_gap_frequency(samples, interval)
+        assert abs(freq - exact) <= 3.0 * se, (freq, se, exact)
+        assert 1.0 - exact > 10.0 * se
+
+    def test_sub_threshold_density_matches_exact_counts(self):
+        # kappa = 1/2 at t = n^(-2/3), below threshold: the mean count of
+        # eigenvalues in each half-unit bin of the window, from K(x, x) on 8
+        # Gauss nodes per bin, against Monte Carlo; the sine kernel's 0.5
+        # per bin is far off
+        mu = MeasureSpec.power(0.5, 0.0, (-1.0, 1.0))
+        n = 50
+        t = n ** (-2.0 / 3.0)
+        cfg = InitialConfiguration.from_quantiles(mu, n)
+        window = make_window(mu, t, 0.0)
+        h = window_scale(window, n)
+        edges = np.linspace(-2.0, 2.0, 9)
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        us = (0.5 * (edges[:-1] + edges[1:]))[:, None] + 0.25 * nodes[None, :]
+        diag = KernelEvaluator(cfg, t)._diagonal(window.x_star_t + h * us.ravel())
+        exact = 0.25 * h * (diag.reshape(us.shape) @ weights)
+        samples = sample_spectra(cfg, t, 4000, seed=8, threads=2)
+        u = (samples - window.x_star_t) / h
+        counts = np.stack(
+            [np.sum((u >= a) & (u < b), axis=1) for a, b in zip(edges[:-1], edges[1:])], axis=1
+        )
+        mean = counts.mean(axis=0)
+        se = counts.std(axis=0, ddof=1) / math.sqrt(counts.shape[0])
+        assert np.all(np.abs(mean - exact) <= 4.0 * se), (mean, exact, se)
+        assert np.max(np.abs(0.5 - exact) / se) > 10.0
 
 
 class TestErrors:
