@@ -15,7 +15,8 @@ vertical line through the real part of the z-saddle, and a loop following
 the graph of the local spectral half-width around the source points.  All
 exponentials are referenced to their saddle values, which keeps every
 factor at or below one in modulus along the descent paths; this route
-scales to large ``n`` and is what the rescaled observation frames use.
+scales to large ``n``.  The rescaled observation frames take it where every
+saddle of a grid is complex, and the first route where one is real.
 """
 
 from __future__ import annotations
@@ -226,17 +227,24 @@ def kernel_lagrange(ev: KernelEvaluator, x, y) -> float:
 
 
 def kernel_matrix(ev: KernelEvaluator, xs, ys) -> np.ndarray:
-    """Ungauged K(xs[i], ys[j]) via the Lagrange route."""
+    """Ungauged K(xs[i], ys[j]) via the Lagrange route.  A square grid, xs
+    equal to ys, takes each K(x, x) off its own diagonal in the same pass."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     _check_finite(xs, "xs")
     _check_finite(ys, "ys")
-    diag = ev._diagonal(np.concatenate([xs, ys]))
-    if xs.size == ys.size == 1 and xs[0] == ys[0]:
-        return diag[:1, None]
-    half = np.log(diag, out=np.full(diag.shape, -np.inf), where=diag > 0.0) / 2.0
-    scale = half[: xs.size, None] + half[None, xs.size :] - gauge_log(ev, xs[:, None], ys[None, :])
-    return ev._certified(lambda: ev._sums(xs, ys), xs, lambda _: scale)
+
+    def scale(diag):  # K(x, x) at the xs, then at the ys
+        half = np.log(diag, out=np.full(diag.shape, -np.inf), where=diag > 0.0) / 2.0
+        gauge = gauge_log(ev, xs[:, None], ys[None, :])
+        return half[: xs.size, None] + half[None, xs.size :] - gauge
+
+    if np.array_equal(xs, ys):
+        return ev._certified(
+            lambda: ev._sums(xs, xs), xs, lambda hi: scale(np.tile(np.diagonal(hi), 2))
+        )
+    fixed = scale(ev._diagonal(np.concatenate([xs, ys])))
+    return ev._certified(lambda: ev._sums(xs, ys), xs, lambda _: fixed)
 
 
 def gauge_log(ev: KernelEvaluator, x, y):
@@ -245,12 +253,14 @@ def gauge_log(ev: KernelEvaluator, x, y):
     return (n / (2.0 * t)) * ((y * y - x * x) - 2.0 * ev.x0 * (y - x))
 
 
-def gauge_to_paper(ev: KernelEvaluator, x, y, value) -> float:
-    """Apply the conjugation factor that symmetrizes the kernel at x0."""
-    if value == 0.0:
-        return 0.0
-    g = gauge_log(ev, float(x), float(y))
-    return float(math.copysign(math.exp(math.log(abs(value)) + g), value))
+def gauge_to_paper(ev: KernelEvaluator, x, y, value):
+    """Apply the conjugation factor that symmetrizes the kernel at x0; x, y
+    and value broadcast.  Taken in logs, and 0 stays 0 whatever the factor."""
+    value = np.asarray(value, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        size = np.exp(np.log(np.abs(value)) + gauge_log(ev, x, y))
+    out = np.where(value == 0.0, 0.0, np.copysign(size, value))
+    return float(out) if out.ndim == 0 else out
 
 
 def kernel_paper(ev: KernelEvaluator, x, y) -> float:
@@ -480,9 +490,9 @@ class RescaledKernelFrame:
 
     For bulk windows one unit of (u, v) is 1/(c_t n); for gap windows it is
     the window epsilon.  Values include the oscillatory part, whose frequency
-    is read off the height at which the vertical line crosses the loop; in a
-    gap frame the saddles are real, the crossing height is zero and the
-    oscillatory part vanishes identically.
+    is read off the height at which the vertical line crosses the loop.  A
+    grid with a real saddle, in a gap or below threshold, takes the exact
+    route instead, through one KernelEvaluator per frame.
     """
 
     def __init__(self, config, t, window: Window, dc_tol=1e-7, max_levels=8):
@@ -510,7 +520,8 @@ class RescaledKernelFrame:
         # y(x).  A height is bitwise a function of its x, so one store serves
         # every contour through the lump
         self._heights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # largest node count, both contours and both halves, of an accepted row
+        self._exact: KernelEvaluator | None = None
+        # largest node count, both contours and both halves, of an accepted block
         self.quadrature_m = 0
         # Re z_saddle(0), reported as the frame's anchor
         self.x0 = self._saddles_at((0.0,))[0][0].real
@@ -562,12 +573,7 @@ class RescaledKernelFrame:
 
     def _beta(self, x0: float, s: float) -> float:
         d2 = (x0 - self.points) ** 2
-        if s > 0.0:
-            val = 2.0 * self.n * s * s * float(np.mean(1.0 / (d2 + s * s) ** 2))
-        else:
-            lor = float(np.mean(1.0 / np.maximum(d2, 1e-300)))
-            val = (self.n / self.t) * max(1.0 - self.t * lor, 1e-12)
-        return max(val, 1e-300)
+        return max(2.0 * self.n * s * s * float(np.mean(1.0 / (d2 + s * s) ** 2)), 1e-300)
 
     # -- contour quadrature --------------------------------------------------
 
@@ -580,16 +586,10 @@ class RescaledKernelFrame:
         """
         dens = 3 * (1 << level)
         target = width / dens
-        if s > 0.0:
-            m = max(dens, int(math.ceil(s / target)))
-            dz = s / m
-            edges = [np.arange(0, 2 * m + 1) * dz]
-            pos = 2.0 * s
-        else:
-            edges = [np.array([0.0])]
-            pos = 0.0
+        m = max(dens, int(math.ceil(s / target)))
+        edges = [np.arange(0, 2 * m + 1) * (s / m)]
         nb = int(math.ceil(8.0 * width / target))
-        band = pos + np.arange(1, nb + 1) * target
+        band = 2.0 * s + np.arange(1, nb + 1) * target
         edges.append(band)
         pos = float(band[-1])
         tail = []
@@ -702,8 +702,6 @@ class RescaledKernelFrame:
                 part = self._far_lumps[k, level]
             if part is not None:
                 parts.append(part)
-        if not parts:
-            return (np.empty(0, dtype=complex),) * 4
         return tuple(np.concatenate(arrs) for arrs in zip(*parts))
 
     def _block(self, us: np.ndarray, vs: np.ndarray, anchor: float, level: int):
@@ -735,16 +733,9 @@ class RescaledKernelFrame:
         # the line's own factor exp(-(nh/t) du (x0 - x*_t)), 1 when x0 = self.x0
         a_blk = (theta / math.pi) * np.sinc(du * theta / math.pi)
         a_blk = a_blk * np.exp((n * h / t) * du * (self.x0 - x0))
-        no_resid = np.zeros(us.size)
-
-        if wn.size == 0:
-            return a_blk, no_resid, 2 * sig.size
 
         phi_w = bw[:, None] - (h * lw)[:, None] * vs[None, :]
-        drop = ref_w[None, :] - phi_w.real
-        keep_w = np.any(drop > -_DROP_CUTOFF, axis=1)
-        if not np.any(keep_w):
-            return a_blk, no_resid, 2 * sig.size
+        keep_w = np.any(ref_w[None, :] - phi_w.real > -_DROP_CUTOFF, axis=1)
         wn, wst, phi_w = wn[keep_w], wst[keep_w], phi_w[keep_w]
         with np.errstate(under="ignore"):
             ew = np.exp(ref_w[None, :] - phi_w)
@@ -776,10 +767,7 @@ class RescaledKernelFrame:
                 self.quadrature_m = max(self.quadrature_m, nodes)
                 # halving the cell size quarters the error, so one Richardson
                 # step removes the leading term
-                out = cur + (cur - prev) / 3.0
-                for u, row in zip(us, out.tolist()):
-                    self._pairs.update(zip(((u, v) for v in vs), row))
-                return out
+                return cur + (cur - prev) / 3.0
             prev = cur
         raise NonConvergence(
             f"contour refinement stalled at level {self.max_levels}: "
@@ -798,7 +786,7 @@ class RescaledKernelFrame:
 
         All rows share the contour through z_saddle(0) when every saddle of
         the grid is complex and sits on the loop lump of that anchor; any
-        real saddle puts each row on its own contour through z_saddle(u).
+        other grid takes the exact route at x*_t + h u, in the gauge at x0.
         """
         us = [float(u) for u in np.atleast_1d(us)]
         vs = [float(v) for v in np.atleast_1d(vs)]
@@ -810,10 +798,18 @@ class RescaledKernelFrame:
         x0 = zs[0].real
         home = [(lo, hi) for lo, hi in self._lumps if lo <= x0 <= hi]
         if home and all(z.imag > 0.0 and home[0][0] <= z.real <= home[0][1] for z in zs):
-            return self._refine(us, vs, 0.0)
-        out = np.empty((len(us), len(vs)))
-        for i, u in enumerate(us):
-            out[i] = self._refine((u,), vs, u)[0]
+            out = self._refine(us, vs, 0.0)
+        else:
+            if self._exact is None:
+                self._exact = KernelEvaluator(self.points, self.t, self.x0)
+            xs, ys = (self.window.x_star_t + self.h * np.array(a) for a in (us, vs))
+            vals = kernel_matrix(self._exact, xs, ys)
+            with np.errstate(over="ignore"):
+                out = self.h * gauge_to_paper(self._exact, xs[:, None], ys[None, :], vals)
+            if not np.all(np.isfinite(out)):
+                raise NonConvergence("exact value past the float range in the frame's gauge")
+        for u, row in zip(us, out.tolist()):
+            self._pairs.update(zip(((u, v) for v in vs), row))
         return out
 
     def sine_amplitude(self, u) -> float:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dbmlab import cli
+from dbmlab import cli, kernel
 from dbmlab.errors import ConfigError
 from dbmlab.kernel import RescaledKernelFrame
 from dbmlab.freeconv import make_window
@@ -424,10 +424,13 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
 
-    def test_nonconvergence_exits_3(self, tmp_path):
-        # a gap frame outside the underflow regime, where the contour route
-        # is known to fail (garbage values or a stall); on the default grid
-        # its refinement stalls at level 8, a genuine non-convergence
+    def test_nonconvergence_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a gap frame outside the underflow regime takes the exact route; with
+        # its certification capped at the first pair of digit counts, 10 and
+        # 30, the value at x = -0.2 cannot be certified: a genuine
+        # non-convergence, which exits 3
+        monkeypatch.setattr(kernel, "_START_DIGITS", 10)
+        monkeypatch.setattr(kernel, "_MAX_DIGITS", 10 + kernel._CHECK_DIGITS)
         conf = write_conf(
             tmp_path,
             "measure {\n kind = uniform\n}\n"
@@ -436,6 +439,7 @@ class TestExitCodes:
         )
         rc = cli.main(["kernel", "--config", str(conf), "--out", str(tmp_path / "o")])
         assert rc == 3
+        assert "n=40, x=-0.2 differs between 10 and 30 digits" in capsys.readouterr().err
 
     def test_config_json_mirror_written(self, tmp_path):
         conf = write_conf(tmp_path, KERNEL_CONF)

@@ -14,6 +14,7 @@ import pytest
 
 from dbmlab import freeconv, kernel
 from dbmlab.errors import ConfigError, NonConvergence
+from dbmlab.fredholm import GapProblem, gap_probability
 from dbmlab.freeconv import (
     FreeConvolutionState,
     gap_window,
@@ -37,6 +38,7 @@ from dbmlab.kernel import (
     sine_kernel,
 )
 from dbmlab.measures import InitialConfiguration, MeasureSpec
+from dbmlab.panels import panel_nodes
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -110,6 +112,36 @@ class TestQuadrature:
         ev = KernelEvaluator(cfg, 0.5)
         with pytest.raises(NonConvergence, match=r"n=100, x=0\.0 differs between 30 and 50"):
             kernel_lagrange(ev, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "n, t, eps", [(100, 0.0009, 0.03), (40, 0.06, 0.1)], ids=["gap-conf", "closing-gap-n40"]
+    )
+    def test_square_grid_certifies_in_one_pass(self, n, t, eps, monkeypatch):
+        # a square grid takes each K(x, x) for its scale off its own
+        # diagonal: one certification, here on the nodes of a gap frame's
+        # Fredholm matrix at m = 16.  At n = 100 (bench/configs/gap.conf)
+        # every value underflows to 0.0; at n = 40 none does
+        cfg = InitialConfiguration.equispaced(-1.0, 1.0, n).with_gap(0.0, 0.3)
+        window = gap_window(cfg, t, 0.0, epsilon=eps)
+        nodes = panel_nodes(np.array([-1.0, 1.0]), 16)[0]
+        xs = window.x_star_t + window_scale(window, n) * nodes
+        ev = KernelEvaluator(cfg, t)
+        passes = []
+        certified = ev._certified
+        monkeypatch.setattr(ev, "_certified", lambda *a: passes.append(a) or certified(*a))
+        got = kernel_matrix(ev, xs, xs)
+        assert len(passes) == 1
+        diag = KernelEvaluator(cfg, t)._diagonal(xs)
+        np.testing.assert_array_equal(np.diag(got), diag)
+        # off the diagonal, a sample of pairs against 1 x 1 grids, whose
+        # scale comes from a diagonal pass of their own
+        one = KernelEvaluator(cfg, t)
+        for i in range(16):
+            for j in ((i + 1) % 16, 15 - i):
+                ref = kernel_matrix(one, xs[i], xs[j])[0, 0]
+                gauge = math.exp(-kernel.gauge_log(one, xs[i], xs[j]))
+                scale = max(abs(ref), math.sqrt(diag[i] * diag[j]) * gauge)
+                assert abs(got[i, j] - ref) <= 1e-15 * scale, (i, j, got[i, j], ref)
 
     def test_three_point_heat_smoothed_basis(self):
         # for n = 3, l_k is quadratic with l_k'' = 2/prod_{j!=k}(a_k - a_j),
@@ -689,25 +721,64 @@ def _gap_frame():
     return RescaledKernelFrame(cfg, t, gap_window(cfg, t, 0.0, epsilon=0.03)), cfg
 
 
+def _closing_gap_frame(t, eps):
+    cfg = InitialConfiguration.equispaced(-1.0, 1.0, 40).with_gap(0.0, 0.3)
+    return RescaledKernelFrame(cfg, t, gap_window(cfg, t, 0.0, epsilon=eps)), cfg
+
+
+# n = 40 gap frames outside the underflow regime, where per-row contours
+# through the real saddles stalled at level 8 (the first three) or returned
+# values far from the exact ones
+_CLOSING_GAPS = [(0.015, 0.1), (0.03, 0.1), (0.06, 0.1), (0.012, 0.05), (0.018, 0.05)]
+
+
 @pytest.mark.parametrize(
-    "make_frame", [_gap_frame, _sub_threshold_frame], ids=["gap", "power-half-sub"]
+    "make_frame",
+    [_gap_frame, _sub_threshold_frame]
+    + [lambda t=t, eps=eps: _closing_gap_frame(t, eps) for t, eps in _CLOSING_GAPS],
+    ids=["gap", "power-half-sub"] + [f"gap-n40-t{t}-eps{eps}" for t, eps in _CLOSING_GAPS],
 )
-def test_real_saddle_frames_keep_per_row_contours(make_frame, monkeypatch):
+def test_real_saddle_frames_take_the_exact_route(make_frame, monkeypatch):
     # a real saddle in the grid (the gap window's, or y(0) = 0 below
-    # threshold) puts every row on its own contour through z_saddle(u)
-    frame, _ = make_frame()
-    grid = np.array([-1.0, 0.0, 1.0])
+    # threshold) sends the grid to the frame's KernelEvaluator: no contour
+    # block runs, and each value is the exact one at x*_t + h u, gauge-fixed
+    # at the frame's x0 and times h
+    frame, cfg = make_frame()
+    grid = np.asarray(frame.window.u_grid)
     assert any(frame.sine_amplitude(u) == 0.0 for u in (0.0, *grid))
     levels = _count_block_levels(frame, monkeypatch)
     got = frame.values(grid, grid)
-    assert levels.count(0) == grid.size
-    ref = np.array([frame._refine((u,), grid, anchor=u)[0] for u in grid])
+    ev = KernelEvaluator(cfg, frame.t, frame.x0)
+    xs = frame.window.x_star_t + frame.h * grid
+    ref = frame.h * gauge_to_paper(ev, xs[:, None], xs[None, :], kernel_matrix(ev, xs, xs))
     np.testing.assert_array_equal(got, ref)
+    eps = frame.window.epsilon
+    if eps is not None:
+        # the gap on (-1, 1) in window units is the exact one on x*_t +- eps
+        def kern(uu, vv):
+            return frame.values(np.asarray(uu).ravel(), np.asarray(vv).ravel())
+
+        fred = gap_probability(GapProblem(kern, (-1.0, 1.0))).raw_det
+        c = frame.window.x_star_t
+        exact = gap_probability(GapProblem(KernelEvaluator(cfg, frame.t), (c - eps, c + eps)))
+        assert abs(fred - exact.raw_det) <= 1e-8, (fred, exact.raw_det)
+    assert levels == []
+
+
+def test_exact_route_raises_past_the_float_range():
+    # in the gauge at the frame's x0 = 0, off-diagonal entries of this gap
+    # frame pass the float range; as on the contour route, that raises
+    frame, _ = _closing_gap_frame(0.015, 0.5)
+    grid = np.asarray(frame.window.u_grid)
+    with pytest.raises(NonConvergence, match="float range"):
+        frame.values(grid, grid)
 
 
 def test_sub_threshold_products_match_lagrange():
-    # K(u,v)K(v,u) carries no gauge; below threshold the frame keeps per-row
-    # contours, and the Lagrange route is the independent reference at n = 50
+    # K(u,v)K(v,u) carries no gauge; below threshold the frame takes the
+    # exact route, so this holds its gauge and its scale by h to the plain
+    # Lagrange values.  The independent check of this regime is the Monte
+    # Carlo density of tests/test_montecarlo.py::TestRealSaddleRegimes
     frame, cfg = _sub_threshold_frame()
     ev = KernelEvaluator(cfg, frame.t)
     for u, v in ((0.0, 1.0), (-1.0, 0.5), (-1.5, 1.5)):
@@ -715,7 +786,7 @@ def test_sub_threshold_products_match_lagrange():
         x_v = frame.window.x_star_t + frame.h * v
         ref = frame.h**2 * kernel_lagrange(ev, x_u, x_v) * kernel_lagrange(ev, x_v, x_u)
         got = frame.value(u, v) * frame.value(v, u)
-        assert got == pytest.approx(ref, rel=1e-4), (u, v, got, ref)
+        assert got == pytest.approx(ref, rel=1e-12), (u, v, got, ref)
 
 
 @pytest.mark.parametrize("n", [100, 200])
@@ -758,21 +829,22 @@ def test_frame_solves_new_saddles_in_one_inverse_call(monkeypatch):
 
 def _record_home_solves(frame, monkeypatch, home=True):
     """Patch the frame to record, per level, the points its home grids (far
-    grids if not ``home``) ask for and the points it passes to Newton.
-    Saddle solves pass points to Newton too, so callers solve the grid's
-    saddles first."""
-    asked, solved, level = {}, {}, [None]
+    grids if not ``home``) ask for and the points of those grids it passes
+    to Newton.  Saddle solves pass points to Newton too, so callers solve
+    the grid's saddles first."""
+    asked, solved, level = {}, {}, [None, None]
     grid, profile = frame._lump_grid, frame.state._y_profile
 
     def lump_grid(lo, hi, x0, s, width, lev, is_home):
         vx, mx = grid(lo, hi, x0, s, width, lev, is_home)
-        level[0] = lev
+        level[:] = lev, is_home
         if is_home == home:
             asked[lev] = asked.get(lev, 0) + vx.size + mx.size
         return vx, mx
 
     def y_profile(xs):
-        solved[level[0]] = solved.get(level[0], 0) + xs.size
+        if level[1] == home:
+            solved[level[0]] = solved.get(level[0], 0) + xs.size
         return profile(xs)
 
     monkeypatch.setattr(frame, "_lump_grid", lump_grid)
@@ -793,16 +865,11 @@ def test_home_heights_solved_once_across_levels(monkeypatch):
     assert sum(solved.values()) < 0.7 * sum(asked.values())
 
 
-def _gap_conf_frame():
-    # the frame of bench/configs/gap.conf: no lump holds the real anchor
-    cfg = InitialConfiguration.equispaced(-1.0, 1.0, 100).with_gap(0.0, 0.3)
-    t = 0.01 * 0.3**2
-    return RescaledKernelFrame(cfg, t, gap_window(cfg, t, 0.0, epsilon=0.03))
-
-
 def test_far_heights_solved_once_across_levels(monkeypatch):
-    # a far lump's cosine grid at level l + 1 holds every vertex of level l
-    frame = _gap_conf_frame()
+    # a far lump's cosine grid at level l + 1 holds every vertex of level l;
+    # the two-cluster frame's shared contour, through the right cluster,
+    # takes the left cluster's lump as a far one
+    frame = _two_cluster_frame()
     grid = np.linspace(-2.0, 2.0, 9)
     frame._saddles_at([0.0, *grid])
     asked, solved = _record_home_solves(frame, monkeypatch, home=False)
@@ -830,9 +897,9 @@ def test_home_heights_reused_by_a_later_call(monkeypatch):
 def test_home_heights_match_a_cold_solve():
     # a read-back height is the double Newton returns for its x alone, never
     # an interpolant, whichever points it was solved with: on the n = 100
-    # bulk frame and on the frame of bench/configs/gap.conf
+    # bulk frame and on the two-cluster frame, whose contour has a far lump
     bulk = _bulk_uniform_frame(100)
-    for frame in (bulk, _gap_conf_frame()):
+    for frame in (bulk, _two_cluster_frame()):
         grid = np.asarray(frame.window.u_grid)
         frame.values(grid, grid)
         cold = FreeConvolutionState(frame.points, frame.t)
@@ -885,12 +952,12 @@ def test_saddles_do_not_depend_on_the_batch(n):
 def test_frame_values_do_not_depend_on_threads(monkeypatch):
     # each loop block's product has its own slot and the slots are added in
     # block order: at 1, 2 and 3 threads a frame's values are the same bits,
-    # on a shared bulk contour, on a deep soft-centre one and on per-row
-    # contours through real saddles
+    # on a shared bulk contour, on a deep soft-centre one and on a contour
+    # with a far lump
     cases = [
         (lambda: _bulk_uniform_frame(100), None),
         (_power_half_frame, np.linspace(-2.0, 2.0, 9)),
-        (lambda: _sub_threshold_frame()[0], np.array([0.0, 0.5, 1.0])),
+        (_two_cluster_frame, np.linspace(-2.0, 2.0, 9)),
     ]
     most = []
     run_items = kernel.run_items
