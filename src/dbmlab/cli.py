@@ -32,7 +32,12 @@ from .freeconv import (
     t_critical,
 )
 from .fredholm import GapProblem, gap_probability
-from .kernel import RescaledKernelFrame, frame_to_json, sup_sine_deviation
+from .kernel import (
+    RescaledKernelFrame,
+    frame_to_json,
+    gauge_free_deviation,
+    sup_sine_deviation,
+)
 from .measures import InitialConfiguration, MeasureSpec
 from .montecarlo import empirical_gap_frequency, paths_csv, dbm_paths, sample_spectra
 
@@ -306,6 +311,8 @@ def cmd_kernel(tree: dict, out: Path) -> int:
         ("sup_sine_deviation", float(np.max(np.abs(vals - sine)))),
         ("sup_abs_value", float(np.max(np.abs(vals)))),
         ("max_sine_amplitude", max(frame.sine_amplitude(u) for u in grid)),
+        # the square grid's transpose is read back from the frame's store
+        ("gauge_free_deviation", gauge_free_deviation(frame)),
     ]
     _emit_config(tree, out)
     (out / "kernel.csv").write_text("\n".join(lines) + "\n")
@@ -341,15 +348,16 @@ def cmd_sweep(tree: dict, out: Path) -> int:
         t0 = time.perf_counter()
         frame = build_frame({**tree, "n": n, "t": t})
         dev = sup_sine_deviation(frame)
+        free = gauge_free_deviation(frame)
         prob = gap_probability(
             GapProblem(_frame_gap_kernel(frame), _SWEEP_GAP_INTERVAL)
         ).probability
         secs = time.perf_counter() - t0
-        rows.append((n, t, dev, prob, secs))
+        rows.append((n, t, dev, prob, free))
         print(f"sweep: n={n} t={t:g} took {secs:.2f}s", file=sys.stderr)
-    lines = ["n,t,sup_sine_deviation,gap_probability,sup_rounded"]
-    for n, t, dev, prob, _ in rows:
-        lines.append(f"{n},{_FMT % t},{_FMT % dev},{_FMT % prob},{dev:.4g}")
+    lines = ["n,t,sup_sine_deviation,gap_probability,sup_rounded,gauge_free_deviation"]
+    for n, t, dev, prob, free in rows:
+        lines.append(f"{n},{_FMT % t},{_FMT % dev},{_FMT % prob},{dev:.4g},{_FMT % free}")
     _emit_config(tree, out)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     print(f"sweep: {len(rows)} rows -> {out}")

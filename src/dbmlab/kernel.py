@@ -751,28 +751,36 @@ class RescaledKernelFrame:
         return a_blk + i_blk.real, resid, 2 * (sig.size + wn.size)
 
     def _refine(self, us, vs, anchor: float) -> np.ndarray:
-        """One block, refined until every row passes its own tolerance."""
+        """One block, refined until every row passes its own tolerance.
+
+        The value returned is the Richardson one, so the error test is on
+        its change from the level before, with level 0's plain value first.
+        """
         uarr = np.asarray(us, dtype=float)
         varr = np.asarray(vs, dtype=float)
         prev, _, _ = self._block(uarr, varr, anchor, 0)
-        err = math.inf
+        rich_prev = prev
+        stall = "no level refined"
         for level in range(1, self.max_levels + 1):
             cur, resid, nodes = self._block(uarr, varr, anchor, level)
-            errs = np.max(np.abs(cur - prev), axis=1)
+            # halving the cell size quarters the error, so one Richardson
+            # step removes the leading term
+            rich = cur + (cur - prev) / 3.0
+            errs = np.max(np.abs(rich - rich_prev), axis=1)
             scale = np.max(np.abs(cur), axis=1)
-            err = float(np.max(errs))
-            ok = errs <= np.maximum(self.dc_tol, 1e-6 * scale)
-            ok_im = resid <= np.maximum(1e-9, 1e-6 * scale)
-            if np.all(ok & ok_im):
+            tol = np.maximum(self.dc_tol, 1e-6 * scale)
+            tol_im = np.maximum(1e-9, 1e-6 * scale)
+            if np.all((errs <= tol) & (resid <= tol_im)):
                 self.quadrature_m = max(self.quadrature_m, nodes)
-                # halving the cell size quarters the error, so one Richardson
-                # step removes the leading term
-                return cur + (cur - prev) / 3.0
-            prev = cur
-        raise NonConvergence(
-            f"contour refinement stalled at level {self.max_levels}: "
-            f"residual {err:.3e}"
-        )
+                return rich
+            i = int(np.argmax(np.maximum(errs / tol, resid / tol_im)))
+            stall = (
+                f"Richardson change {errs[i]:.3e} (tolerance {tol[i]:.3e}) and "
+                f"imaginary residual {resid[i]:.3e} (tolerance {tol_im[i]:.3e}) "
+                f"at row u = {uarr[i]:.6g}"
+            )
+            prev, rich_prev = cur, rich
+        raise NonConvergence(f"contour refinement stalled at level {self.max_levels}: {stall}")
 
     def value(self, u, v) -> float:
         u, v = float(u), float(v)

@@ -202,7 +202,12 @@ class TestKernelCommand:
 
         summary = (out / "summary.csv").read_text().splitlines()
         names = {r.split(",")[0] for r in summary[1:]}
-        assert names == {"sup_sine_deviation", "sup_abs_value", "max_sine_amplitude"}
+        assert names == {
+            "sup_sine_deviation",
+            "sup_abs_value",
+            "max_sine_amplitude",
+            "gauge_free_deviation",
+        }
 
     def test_rerun_is_bit_identical(self, tmp_path):
         conf = write_conf(tmp_path, KERNEL_CONF)
@@ -230,6 +235,23 @@ class TestKernelCommand:
         assert vals["max_sine_amplitude"] == 0.0
         assert vals["sup_abs_value"] < 0.05
 
+    def test_closing_gap_reports_gauge_free_deviation(self, tmp_path):
+        # the closing gap's off-diagonal values carry the frame's gauge at
+        # x0 = 0 past 1e25; the gauge-free statistic reads 1.0, from
+        # |K(u,u) - 1| where the density vanishes inside the gap
+        conf = write_conf(
+            tmp_path,
+            "measure {\n kind = uniform\n}\nn = 40\ngenerator = equispaced_gap\n"
+            "gap_half_width = 0.3\nt = 0.015\nwindow {\n epsilon = 0.1\n}\n",
+        )
+        out = tmp_path / "run"
+        assert cli.main(["kernel", "--config", str(conf), "--out", str(out)]) == 0
+        rows = (out / "summary.csv").read_text().strip().splitlines()
+        assert rows[-1].startswith("gauge_free_deviation,")
+        vals = {r.split(",")[0]: float(r.split(",")[1]) for r in rows[1:]}
+        assert vals["sup_sine_deviation"] > 1e20
+        assert abs(vals["gauge_free_deviation"] - 1.0) <= 1e-9
+
 
 class TestSweepCommand:
     def test_sweep_table(self, tmp_path):
@@ -242,12 +264,13 @@ class TestSweepCommand:
         out = tmp_path / "run"
         assert cli.main(["sweep", "--config", str(conf), "--out", str(out)]) == 0
         rows = (out / "sweep.csv").read_text().strip().splitlines()
-        assert rows[0] == "n,t,sup_sine_deviation,gap_probability,sup_rounded"
+        assert rows[0] == "n,t,sup_sine_deviation,gap_probability,sup_rounded,gauge_free_deviation"
         assert len(rows) == 3
         for r in rows[1:]:
             cols = r.split(",")
             assert float(cols[2]) >= 0.0
             assert 0.0 <= float(cols[3]) <= 1.0
+            assert 0.0 <= float(cols[5]) <= float(cols[2]) + 1e-12
 
     def test_empty_t_grid_is_validation_error(self, tmp_path):
         conf = write_conf(

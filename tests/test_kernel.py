@@ -568,7 +568,7 @@ class TestRescaledFrame:
         frame = RescaledKernelFrame(
             cfg, 1.0, window, dc_tol=1e-16, max_levels=1
         )
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match=r"level 1: Richardson change .* at row u = 0$"):
             frame.value(0.0, 0.0)
 
 
@@ -683,6 +683,14 @@ def _count_block_levels(frame, monkeypatch):
     return levels
 
 
+def _exact_frame_values(frame, us, vs):
+    """The exact route on a grid, mapped as the frame maps it: at x*_t + h u,
+    gauge-fixed at the frame's x0 and times h."""
+    ev = KernelEvaluator(frame.points, frame.t, frame.x0)
+    xs, ys = (frame.window.x_star_t + frame.h * np.asarray(a) for a in (us, vs))
+    return frame.h * gauge_to_paper(ev, xs[:, None], ys[None, :], kernel_matrix(ev, xs, ys))
+
+
 @pytest.mark.parametrize(
     "make_frame, grid",
     [
@@ -691,20 +699,50 @@ def _count_block_levels(frame, monkeypatch):
     ],
     ids=["bulk-uniform-n100", "power-half-n50"],
 )
-def test_shared_contour_matches_per_row_contours(make_frame, grid, monkeypatch):
-    # moving a row's z-line and loop to the contour through z_saddle(0) is a
-    # contour deformation: every row must agree with its own contour
+def test_shared_contour_matches_the_exact_route(make_frame, grid, monkeypatch):
+    # every row of the grid is summed on the one contour through
+    # z_saddle(0); each must agree with the exact route, certified to 1e-15
     frame = make_frame()
     grid = np.asarray(frame.window.u_grid if grid is None else grid)
     levels = _count_block_levels(frame, monkeypatch)
     got = frame.values(grid, grid)
     # the whole grid was one block: one call per level
     assert levels == list(range(len(levels)))
+    ref = _exact_frame_values(frame, grid, grid)
     scale = float(np.max(np.abs(got)))
     for i, u in enumerate(grid):
-        ref = frame._refine((u,), grid, anchor=u)[0]
-        assert np.max(np.abs(got[i] - ref)) <= 1e-7 * scale, u
-        assert abs(got[i, i] - ref[i]) <= 1e-9 * abs(ref[i]), u
+        assert np.max(np.abs(got[i] - ref[i])) <= 1e-7 * scale, u
+        assert abs(got[i, i] - ref[i, i]) <= 1e-9 * abs(ref[i, i]), u
+
+
+def _bulk_gauss_frame(m):
+    # the n = 50 bulk frame on a Fredholm matrix's grid: Gauss nodes of (-1/2, 1/2)
+    nodes, _ = panel_nodes(np.array([-0.5, 0.5]), m)
+    return _bulk_uniform_frame(50), nodes
+
+
+@pytest.mark.parametrize(
+    "make_case, last_level",
+    [
+        (lambda: (_power_half_frame(), np.linspace(-2.0, 2.0, 9)), 5),
+        (lambda: _bulk_gauss_frame(8), 3),
+        (lambda: _bulk_gauss_frame(16), 3),
+    ],
+    ids=["power-half-n50", "bulk-gauss-m8", "bulk-gauss-m16"],
+)
+def test_richardson_values_within_row_tolerance_of_the_exact_route(
+    make_case, last_level, monkeypatch
+):
+    # a block is accepted on the change of the Richardson value it returns,
+    # one level before the raw change between levels would pass; every value
+    # so accepted must lie within its row's tolerance of the exact route
+    frame, grid = make_case()
+    levels = _count_block_levels(frame, monkeypatch)
+    got = frame.values(grid, grid)
+    assert levels == list(range(last_level + 1))
+    ref = _exact_frame_values(frame, grid, grid)
+    tol = np.maximum(frame.dc_tol, 1e-6 * np.max(np.abs(got), axis=1))
+    assert np.all(np.max(np.abs(got - ref), axis=1) <= tol)
 
 
 def _sub_threshold_frame():
@@ -748,10 +786,7 @@ def test_real_saddle_frames_take_the_exact_route(make_frame, monkeypatch):
     assert any(frame.sine_amplitude(u) == 0.0 for u in (0.0, *grid))
     levels = _count_block_levels(frame, monkeypatch)
     got = frame.values(grid, grid)
-    ev = KernelEvaluator(cfg, frame.t, frame.x0)
-    xs = frame.window.x_star_t + frame.h * grid
-    ref = frame.h * gauge_to_paper(ev, xs[:, None], xs[None, :], kernel_matrix(ev, xs, xs))
-    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(got, _exact_frame_values(frame, grid, grid))
     eps = frame.window.epsilon
     if eps is not None:
         # the gap on (-1, 1) in window units is the exact one on x*_t +- eps
