@@ -22,6 +22,7 @@ saddle of a grid is complex, and the first route where one is real.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from decimal import Decimal
 
@@ -515,16 +516,18 @@ class RescaledKernelFrame:
         # window coordinate a -> (z_saddle(a), Re phi_hat(z_saddle(a), a))
         self._saddles: dict[float, tuple[complex, float]] = {}
         self._pairs: dict[tuple[float, float], float] = {}
-        self._far_lumps: dict[tuple[int, int], tuple | None] = {}
+        # each refinement level's z-line and loop, made once per frame
+        self._levels: dict[int, tuple[tuple, tuple]] = {}
         # loop heights solved on each lump, keyed by the lump: sorted x and
-        # y(x).  A height is bitwise a function of its x, so one store serves
-        # every contour through the lump
+        # y(x).  A height is bitwise a function of its x, so the levels of
+        # one refinement read back what the levels before them solved
         self._heights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._exact: KernelEvaluator | None = None
         # largest node count, both contours and both halves, of an accepted block
         self.quadrature_m = 0
-        # Re z_saddle(0), reported as the frame's anchor
-        self.x0 = self._saddles_at((0.0,))[0][0].real
+        # z_saddle(0) = x0 + i s: the frame's one contour and its gauge
+        z0 = self._saddles_at((0.0,))[0][0]
+        self.x0, self._s = z0.real, z0.imag
         # runs [i, j) of positive heights on the graph that solve built,
         # widened by one graph point a side
         g = self.state._ensure_graph()
@@ -535,6 +538,8 @@ class RescaledKernelFrame:
             (float(g.xs[max(i - 1, 0)]), float(g.xs[min(j, last)]))
             for i, j in zip(ends[::2], ends[1::2])
         ]
+        # the lump that holds x0, which the contour crosses
+        self._home = next((k for k, (a, b) in enumerate(self._lumps) if a <= self.x0 <= b), None)
 
     # -- geometry ----------------------------------------------------------
 
@@ -571,19 +576,24 @@ class RescaledKernelFrame:
             b[sl] += 1j * np.sum(np.arctan2(dy, dx), axis=1)
         return b, (n / t) * (q - xst)
 
-    def _beta(self, x0: float, s: float) -> float:
-        d2 = (x0 - self.points) ** 2
-        return max(2.0 * self.n * s * s * float(np.mean(1.0 / (d2 + s * s) ** 2)), 1e-300)
+    @functools.cached_property
+    def _width(self) -> float:
+        """The contours' cell scale; taken once a contour is made, as at s = 0 beta may be 1/0."""
+        s = self._s
+        d2 = (self.x0 - self.points) ** 2
+        beta = max(2.0 * self.n * s * s * float(np.mean(1.0 / (d2 + s * s) ** 2)), 1e-300)
+        return 1.0 / math.sqrt(beta)
 
     # -- contour quadrature --------------------------------------------------
 
-    def _z_line(self, x0: float, s: float, width: float, level: int):
+    def _z_line(self, level: int):
         """Positive-sigma half of the vertical line: midpoints and cell widths.
 
         The fine band uses a spacing that divides the crossing height exactly,
         so nodes sit symmetrically around the pole on both sides; the residual
         of the 1/(z-w) singularity then cancels pairwise.
         """
+        s, width = self._s, self._width
         dens = 3 * (1 << level)
         target = width / dens
         m = max(dens, int(math.ceil(s / target)))
@@ -624,8 +634,9 @@ class RescaledKernelFrame:
             xv, xm = xv[::-1], xm[::-1]
         return xv, xm
 
-    def _lump_grid(self, lo, hi, x0, s, width, level, is_home):
+    def _lump_grid(self, lo, hi, level, is_home):
         """One lump's vertex chain and parameter-midpoint nodes, ascending."""
+        x0, s, width = self.x0, self._s, self._width
         step = width / (3 * (1 << level))
         if not is_home:
             cells = max(16, 32 * (1 << level))
@@ -653,10 +664,10 @@ class RescaledKernelFrame:
             mids.append(right[1])
         return np.concatenate(verts), np.concatenate(mids)
 
-    def _lump_nodes(self, k, x0, s, width, level):
+    def _lump_nodes(self, k, level):
         """Lump k's loop nodes and steps, with B and L at the nodes."""
         lo, hi = self._lumps[k]
-        vx, mx = self._lump_grid(lo, hi, x0, s, width, level, lo <= x0 <= hi)
+        vx, mx = self._lump_grid(lo, hi, level, k == self._home)
         if vx.size < 2:
             return None
         ally = self._stored_profile(k, np.concatenate([vx, mx]))
@@ -667,12 +678,11 @@ class RescaledKernelFrame:
         """Heights at xs on lump k, each solved once per frame.
 
         A home grid's vertices at one level are the vertices and midpoints of
-        the level before, and another call on the same contour asks for the
-        same grids again; a far lump's cosine grid at one level holds every
+        the level before; a far lump's cosine grid at one level holds every
         vertex of the level before.  Points already solved are read back
         exactly, the rest go to Newton and join the store.  A height does
-        not depend on which points Newton solved it with, so a row's values
-        do not depend on which other contours came first.
+        not depend on which points Newton solved it with, so a level's loop
+        does not depend on which levels were made before it.
         """
         kx, ky = self._heights.get(k, (np.empty(0), np.empty(0)))
         i = np.searchsorted(kx, xs)
@@ -687,38 +697,31 @@ class RescaledKernelFrame:
             self._heights[k] = (kx, np.concatenate([ky, ys[miss]])[first])
         return ys
 
-    def _w_contour(self, x0: float, s: float, width: float, level: int):
-        """Upper half of the loop: parameter-midpoint nodes, steps, B and L."""
-        parts = []
-        for k, (lo, hi) in enumerate(self._lumps):
-            if hi <= lo:
-                continue
-            if lo <= x0 <= hi:
-                part = self._lump_nodes(k, x0, s, width, level)
-            else:
-                # away from x0 a lump's grid depends on (lump, level) alone
-                if (k, level) not in self._far_lumps:
-                    self._far_lumps[k, level] = self._lump_nodes(k, x0, s, width, level)
-                part = self._far_lumps[k, level]
-            if part is not None:
-                parts.append(part)
-        return tuple(np.concatenate(arrs) for arrs in zip(*parts))
+    def _contour(self, level: int):
+        """The level's z-line positive half (sigma, weights, B, L) and loop
+        upper half (nodes, steps, B, L), made once per frame."""
+        got = self._levels.get(level)
+        if got is None:
+            sig, wsig = self._z_line(level)
+            parts = [
+                part
+                for k, (lo, hi) in enumerate(self._lumps)
+                if hi > lo and (part := self._lump_nodes(k, level)) is not None
+            ]
+            loop = tuple(np.concatenate(arrs) for arrs in zip(*parts))
+            got = self._levels[level] = (sig, wsig, *self._phi_parts(self.x0 + 1j * sig)), loop
+        return got
 
-    def _block(self, us: np.ndarray, vs: np.ndarray, anchor: float, level: int):
-        """Rows us x columns vs on the z-line and loop through z_saddle(anchor).
+    def _block(self, us: np.ndarray, vs: np.ndarray, level: int):
+        """Rows us x columns vs on the level's z-line and loop.
 
         Returns the values, each row's imaginary residual and the node count.
         """
         n, t, h = self.n, self.t, self.h
-        (za, _), *at = self._saddles_at((anchor, *us, *vs))
+        at = self._saddles_at((*us, *vs))
         ref_z = np.array([ref for _, ref in at[: us.size]])
         ref_w = np.array([ref for _, ref in at[us.size :]])
-        x0, s = za.real, za.imag
-        beta = self._beta(x0, s)
-        width = 1.0 / math.sqrt(beta)
-
-        sig, wsig = self._z_line(x0, s, width, level)
-        bz, lz = self._phi_parts(x0 + 1j * sig)
+        (sig, wsig, bz, lz), (wn, wst, bw, lw) = self._contour(level)
         phi_z = bz[:, None] - (h * lz)[:, None] * us[None, :]
         # each row is referenced to its own saddle; a node stays if any row needs it
         keep = np.any(phi_z.real - ref_z > -_DROP_CUTOFF, axis=1)
@@ -726,13 +729,9 @@ class RescaledKernelFrame:
         with np.errstate(under="ignore"):
             a = wsig[:, None] * np.exp(phi_z - ref_z)
 
-        wn, wst, bw, lw = self._w_contour(x0, s, width, level)
-        theta = h * n * s / t
+        theta = h * n * self._s / t
         du = us[:, None] - vs[None, :]
-        # one gauge for all rows, at self.x0; the crossing residue carries
-        # the line's own factor exp(-(nh/t) du (x0 - x*_t)), 1 when x0 = self.x0
         a_blk = (theta / math.pi) * np.sinc(du * theta / math.pi)
-        a_blk = a_blk * np.exp((n * h / t) * du * (self.x0 - x0))
 
         phi_w = bw[:, None] - (h * lw)[:, None] * vs[None, :]
         keep_w = np.any(ref_w[None, :] - phi_w.real > -_DROP_CUTOFF, axis=1)
@@ -741,7 +740,7 @@ class RescaledKernelFrame:
             ew = np.exp(ref_w[None, :] - phi_w)
         q = wst[:, None] * ew
 
-        ssum = _loop_sum(x0, sig, a, wn, q)
+        ssum = _loop_sum(self.x0, sig, a, wn, q)
         gauge = (n * h / t) * du * (self.x0 - self.window.x_star_t)
         pref = -h * n / (4.0 * math.pi**2 * t)
         i_blk = pref * np.exp(gauge + ref_z[:, None] - ref_w[None, :]) * ssum
@@ -750,7 +749,7 @@ class RescaledKernelFrame:
         resid = np.max(np.abs(i_blk.imag), axis=1)
         return a_blk + i_blk.real, resid, 2 * (sig.size + wn.size)
 
-    def _refine(self, us, vs, anchor: float) -> np.ndarray:
+    def _refine(self, us, vs) -> np.ndarray:
         """One block, refined until every row passes its own tolerance.
 
         The value returned is the Richardson one, so the error test is on
@@ -758,11 +757,11 @@ class RescaledKernelFrame:
         """
         uarr = np.asarray(us, dtype=float)
         varr = np.asarray(vs, dtype=float)
-        prev, _, _ = self._block(uarr, varr, anchor, 0)
+        prev, _, _ = self._block(uarr, varr, 0)
         rich_prev = prev
         stall = "no level refined"
         for level in range(1, self.max_levels + 1):
-            cur, resid, nodes = self._block(uarr, varr, anchor, level)
+            cur, resid, nodes = self._block(uarr, varr, level)
             # halving the cell size quarters the error, so one Richardson
             # step removes the leading term
             rich = cur + (cur - prev) / 3.0
@@ -792,9 +791,10 @@ class RescaledKernelFrame:
     def values(self, us, vs) -> np.ndarray:
         """K(u, v) on a grid; a grid whose every pair is stored is read back.
 
-        All rows share the contour through z_saddle(0) when every saddle of
-        the grid is complex and sits on the loop lump of that anchor; any
-        other grid takes the exact route at x*_t + h u, in the gauge at x0.
+        All rows share the contour through z_saddle(0) when that saddle and
+        every saddle of the grid are complex and sit on the loop lump the
+        contour crosses; any other grid takes the exact route at x*_t + h u,
+        in the gauge at x0.
         """
         us = [float(u) for u in np.atleast_1d(us)]
         vs = [float(v) for v in np.atleast_1d(vs)]
@@ -803,10 +803,9 @@ class RescaledKernelFrame:
                 len(us), len(vs)
             )
         zs = [z for z, _ in self._saddles_at([0.0, *us, *vs])]
-        x0 = zs[0].real
-        home = [(lo, hi) for lo, hi in self._lumps if lo <= x0 <= hi]
-        if home and all(z.imag > 0.0 and home[0][0] <= z.real <= home[0][1] for z in zs):
-            out = self._refine(us, vs, 0.0)
+        lo, hi = self._lumps[self._home] if self._home is not None else (math.inf, -math.inf)
+        if all(z.imag > 0.0 and lo <= z.real <= hi for z in zs):
+            out = self._refine(us, vs)
         else:
             if self._exact is None:
                 self._exact = KernelEvaluator(self.points, self.t, self.x0)

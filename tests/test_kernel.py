@@ -494,10 +494,10 @@ class TestRescaledFrame:
 
     @pytest.mark.parametrize("bulk", [False, True], ids=["gap", "bulk-far-lump"])
     def test_rows_do_not_depend_on_order(self, bulk):
-        # Loop lumps away from a row's anchor are cached per refinement
-        # level; a fresh frame asked for its rows in reverse order must
-        # reproduce every value bit for bit.  The bulk window sits in one
-        # cluster, so the other cluster's lump is a cached one.
+        # A fresh frame asked for its rows in reverse order must reproduce
+        # every value bit for bit.  The gap grid takes the exact route; the
+        # bulk window sits in one cluster, so its contour's loop also crosses
+        # the other cluster's lump, as a far one.
         cfg = InitialConfiguration.equispaced(-1.0, 1.0, 40).with_gap(0.0, 0.3)
         if bulk:
             t = 0.05
@@ -607,17 +607,18 @@ def _two_cluster_frame():
 def test_column_matches_dense_double_sum(make_frame, monkeypatch):
     # _block contracts the z weights into real Cauchy blocks first; the
     # reference sums the same nodes and weights through one dense 1/(Z - W).
-    # Three rows on the line through z_saddle(0), then each row on its own.
+    # Three rows on the frame's contour, then each row on its own, as
+    # value(u, v) sums it.
     frame = make_frame()
     vs = np.array([-1.0, -0.25, 0.0, 0.5, 1.0])
-    blocks = [((-1.0, 0.0, 1.0), 0.0)] + [((u,), u) for u in (-1.0, 0.0, 1.0)]
+    blocks = [(-1.0, 0.0, 1.0)] + [(u,) for u in (-1.0, 0.0, 1.0)]
     got = {}
     for level in range(3):
-        for us, anchor in blocks:
-            got[(level, us, anchor)] = frame._block(np.array(us), vs, anchor, level)
+        for us in blocks:
+            got[(level, us)] = frame._block(np.array(us), vs, level)
     monkeypatch.setattr(kernel, "_loop_sum", dense_loop_sum)
-    for (level, us, anchor), (vals, resid, nodes) in got.items():
-        ref, _, ref_nodes = frame._block(np.array(us), vs, anchor, level)
+    for (level, us), (vals, resid, nodes) in got.items():
+        ref, _, ref_nodes = frame._block(np.array(us), vs, level)
         scale = float(np.max(np.abs(ref)))
         assert vals.shape == (len(us), vs.size)
         assert nodes == ref_nodes
@@ -675,9 +676,9 @@ def _count_block_levels(frame, monkeypatch):
     levels = []
     block = frame._block
 
-    def counted(us, vs, anchor, level):
+    def counted(us, vs, level):
         levels.append(level)
-        return block(us, vs, anchor, level)
+        return block(us, vs, level)
 
     monkeypatch.setattr(frame, "_block", counted)
     return levels
@@ -855,7 +856,8 @@ def test_frame_solves_new_saddles_in_one_inverse_call(monkeypatch):
     )
     grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     frame.values(grid, grid)
-    # u = 0 was solved for the anchor; the other four come in one call
+    # u = 0 was solved for x0 when the frame was built; the other four come
+    # in one call
     assert calls == [4]
     frame.values(grid, grid)
     frame.sine_amplitude(0.5)
@@ -870,8 +872,8 @@ def _record_home_solves(frame, monkeypatch, home=True):
     asked, solved, level = {}, {}, [None, None]
     grid, profile = frame._lump_grid, frame.state._y_profile
 
-    def lump_grid(lo, hi, x0, s, width, lev, is_home):
-        vx, mx = grid(lo, hi, x0, s, width, lev, is_home)
+    def lump_grid(lo, hi, lev, is_home):
+        vx, mx = grid(lo, hi, lev, is_home)
         level[:] = lev, is_home
         if is_home == home:
             asked[lev] = asked.get(lev, 0) + vx.size + mx.size
@@ -914,7 +916,8 @@ def test_far_heights_solved_once_across_levels(monkeypatch):
 
 
 def test_home_heights_reused_by_a_later_call(monkeypatch):
-    # new rows on the same anchor ask for the same home grids again
+    # new rows are summed on the levels the grid made: none of those levels
+    # is built again, so none passes a point to Newton
     frame = _bulk_uniform_frame(100)
     grid = np.asarray(frame.window.u_grid)
     rows = np.array([-0.3, 0.1, 0.7])
@@ -924,9 +927,34 @@ def test_home_heights_reused_by_a_later_call(monkeypatch):
     reached = max(asked)
     asked.clear()
     solved.clear()
+    levels = _count_block_levels(frame, monkeypatch)
     frame.values(rows, grid)
-    assert asked
-    assert all(solved.get(lev, 0) == 0 for lev in asked if lev <= reached), solved
+    assert levels
+    assert all(lev > reached for lev in asked), asked
+    assert all(lev > reached for lev in solved), solved
+
+
+def test_each_level_is_made_once_per_frame(monkeypatch):
+    # the bulk-sweep sequence on one frame: the 17 x 17 window grid, then the
+    # Gauss grids of (-1/2, 1/2) for m = 8 and 16.  Each level's z-line and
+    # loop is made the first time a block reaches it and read back after,
+    # and the last grid's values are the bits a fresh frame gives it alone
+    frame = _bulk_uniform_frame(50)
+    built = []
+    z_line = frame._z_line
+
+    def counted(*args):
+        built.append(args[-1])
+        return z_line(*args)
+
+    monkeypatch.setattr(frame, "_z_line", counted)
+    grid = np.asarray(frame.window.u_grid)
+    frame.values(grid, grid)
+    for m in (8, 16):
+        nodes, _ = panel_nodes(np.array([-0.5, 0.5]), m)
+        got = frame.values(nodes, nodes)
+    assert sorted(built) == list(range(max(built) + 1)), built
+    np.testing.assert_array_equal(got, _bulk_uniform_frame(50).values(nodes, nodes))
 
 
 def test_home_heights_match_a_cold_solve():
@@ -943,9 +971,7 @@ def test_home_heights_match_a_cold_solve():
             assert np.all(np.diff(kx) > 0.0)
             np.testing.assert_array_equal(ky, cold._y_profile(kx))
     cold = FreeConvolutionState(bulk.points, bulk.t)
-    za = bulk._saddles_at((0.0,))[0][0]
-    width = 1.0 / math.sqrt(bulk._beta(za.real, za.imag))
-    wn = bulk._w_contour(za.real, za.imag, width, 2)[0]
+    wn = bulk._contour(2)[1][0]
     np.testing.assert_array_equal(wn.imag, cold._y_profile(wn.real))
 
 
