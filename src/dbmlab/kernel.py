@@ -34,7 +34,10 @@ from .measures import _extract_points
 from .panels import panel_nodes
 from .threads import default_threads, run_items
 
-# e^-60: below any tolerance this module promises, with margin for sums
+# e^-60: below any tolerance this module promises, with margin for sums.  A
+# contour node whose factor falls below it for every row (or column) of a
+# block is dropped, and past the run of nodes that a block keeps none is
+# ever built: see RescaledKernelFrame._kept
 _DROP_CUTOFF = 60.0
 
 # bytes of one block's largest temporary: an x- or y-block of the Lagrange sums,
@@ -191,10 +194,14 @@ class KernelEvaluator:
         """``compute()`` at the working digits plus _CHECK_DIGITS, once it
         agrees with itself at the working digits within 1e-15 of each value's
         scale: the larger of its size and exp(scale(value)).  The first axis
-        of the values runs along xs."""
+        of the values runs along xs.  After a failed check the digits rise by
+        _CHECK_DIGITS, and the failed round's higher pass is the new lower one."""
+        lo = None
         while True:
             try:
-                hi, lo = [_at(self.digits + extra, compute) for extra in (_CHECK_DIGITS, 0)]
+                hi = _at(self.digits + _CHECK_DIGITS, compute)
+                if lo is None:
+                    lo = _at(self.digits, compute)
             finally:
                 self._exps.clear()
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -211,6 +218,7 @@ class KernelEvaluator:
                     f"Lagrange kernel at n={self.n}, x={x!r} differs between {self.digits} "
                     f"and {self.digits + _CHECK_DIGITS} digits; the cap is {_MAX_DIGITS}"
                 )
+            lo = hi
             self.digits += _CHECK_DIGITS
 
     def _diagonal(self, xs: np.ndarray) -> np.ndarray:
@@ -486,6 +494,38 @@ def _block_product(x0, sig, amat, leaves, wn, qs, buf):
     return np.concatenate([g, -np.conj(g)], axis=1) @ np.concatenate([np.conj(qs), qs])
 
 
+# nodes a contour run grows by, at the least, at an end whose node does not
+# yet miss the drop cutoff by 1; past that it doubles
+_GROW = 16
+
+
+class _Run:
+    """A contour piece's grid, whose first array holds its node positions,
+    ascending (sigma, or Re w), and the tuple ``vals`` of arrays over the one
+    run [lo, hi) of its nodes built so far."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.lo = self.hi = 0
+        self.vals = None
+
+    def cover(self, lo, hi, make):
+        """Build, by ``make(i, j)`` for nodes i..j-1, the nodes of [lo, hi)
+        not built yet; none is built twice, and the run stays one run.  The
+        run keeps no reference to ``make``, so no cycle holds a frame."""
+        if self.vals is None:
+            self.lo, self.hi, self.vals = lo, hi, make(lo, hi)
+            return
+        parts = [self.vals]
+        if lo < self.lo:
+            parts.insert(0, make(lo, self.lo))
+        if hi > self.hi:
+            parts.append(make(self.hi, hi))
+        if len(parts) > 1:
+            self.vals = tuple(np.concatenate(arrs) for arrs in zip(*parts))
+            self.lo, self.hi = min(lo, self.lo), max(hi, self.hi)
+
+
 class RescaledKernelFrame:
     """Kernel in window coordinates via saddle-referenced contour quadrature.
 
@@ -516,8 +556,11 @@ class RescaledKernelFrame:
         # window coordinate a -> (z_saddle(a), Re phi_hat(z_saddle(a), a))
         self._saddles: dict[float, tuple[complex, float]] = {}
         self._pairs: dict[tuple[float, float], float] = {}
-        # each refinement level's z-line and loop, made once per frame
-        self._levels: dict[int, tuple[tuple, tuple]] = {}
+        # each refinement level's z-line (key -1) and lumps (key k), made
+        # once per frame, and per key the span of Re w or sigma whose nodes
+        # some block kept so far, whatever the level
+        self._runs: dict[tuple[int, int], _Run | None] = {}
+        self._spans: dict[int, tuple[float, float]] = {}
         # loop heights solved on each lump, keyed by the lump: sorted x and
         # y(x).  A height is bitwise a function of its x, so the levels of
         # one refinement read back what the levels before them solved
@@ -664,25 +707,30 @@ class RescaledKernelFrame:
             mids.append(right[1])
         return np.concatenate(verts), np.concatenate(mids)
 
-    def _lump_nodes(self, k, level):
-        """Lump k's loop nodes and steps, with B and L at the nodes."""
-        lo, hi = self._lumps[k]
-        vx, mx = self._lump_grid(lo, hi, level, k == self._home)
-        if vx.size < 2:
-            return None
-        ally = self._stored_profile(k, np.concatenate([vx, mx]))
-        nodes = mx + 1j * ally[vx.size :]
-        return (nodes, np.diff(vx + 1j * ally[: vx.size]), *self._phi_parts(nodes))
+    def _nodes(self, k, grid, i, j):
+        """Nodes i..j-1 of the z-line (k = -1, grid sigma and weights) or of
+        lump k (grid midpoints and vertices) with their weights or steps, and
+        B and L at the nodes: one B, L call, and for a lump one height call."""
+        if k < 0:
+            sig, wsig = grid
+            return sig[i:j], wsig[i:j], *self._phi_parts(self.x0 + 1j * sig[i:j])
+        mx, vx = grid
+        ys = self._stored_profile(k, np.concatenate([vx[i : j + 1], mx[i:j]]))
+        nodes = mx[i:j] + 1j * ys[j + 1 - i :]
+        return nodes, np.diff(vx[i : j + 1] + 1j * ys[: j + 1 - i]), *self._phi_parts(nodes)
 
     def _stored_profile(self, k, xs):
         """Heights at xs on lump k, each solved once per frame.
 
-        A home grid's vertices at one level are the vertices and midpoints of
-        the level before; a far lump's cosine grid at one level holds every
-        vertex of the level before.  Points already solved are read back
-        exactly, the rest go to Newton and join the store.  A height does
-        not depend on which points Newton solved it with, so a level's loop
-        does not depend on which levels were made before it.
+        A lump's run at one level is built in stretches: the first a block
+        asks for, then any a later block adds at either end.  A home grid's
+        vertices at one level are the vertices and midpoints of the level
+        before; a far lump's cosine grid at one level holds every vertex of
+        the level before.  So a stretch mostly reads back what coarser runs
+        solved: points already solved are read back exactly, the rest go to
+        Newton and join the store.  A height does not depend on which points
+        Newton solved it with, so a run's nodes do not depend on which runs
+        or stretches were built before it.
         """
         kx, ky = self._heights.get(k, (np.empty(0), np.empty(0)))
         i = np.searchsorted(kx, xs)
@@ -697,23 +745,72 @@ class RescaledKernelFrame:
             self._heights[k] = (kx, np.concatenate([ky, ys[miss]])[first])
         return ys
 
-    def _contour(self, level: int):
-        """The level's z-line positive half (sigma, weights, B, L) and loop
-        upper half (nodes, steps, B, L), made once per frame."""
-        got = self._levels.get(level)
-        if got is None:
-            sig, wsig = self._z_line(level)
-            parts = [
-                part
-                for k, (lo, hi) in enumerate(self._lumps)
-                if hi > lo and (part := self._lump_nodes(k, level)) is not None
-            ]
-            loop = tuple(np.concatenate(arrs) for arrs in zip(*parts))
-            got = self._levels[level] = (sig, wsig, *self._phi_parts(self.x0 + 1j * sig)), loop
-        return got
+    def _contour(self, level: int, k: int):
+        """The level's z-line positive half (k = -1) or lump k's upper half,
+        as a run: node positions made once per frame, on first use, and
+        (nodes, weights, B, L) built only where some block asks.  None for a
+        lump without nodes."""
+        key = (level, k)
+        if key not in self._runs:
+            if k < 0:
+                grid = self._z_line(level)
+            else:
+                lo, hi = self._lumps[k]
+                # midpoints, then vertices: a run's node positions lead its grid
+                grid = self._lump_grid(lo, hi, level, k == self._home)[::-1] if hi > lo else ((),)
+            self._runs[key] = _Run(grid) if len(grid[0]) else None
+        return self._runs[key]
+
+    def _kept(self, level, k, coords, refs, sign, anchors):
+        """The nodes of run (level, k) that pass the drop test for the
+        block's rows (z-line, sign 1) or columns (lumps, sign -1), with their
+        weights and phi_hat: sign (Re phi_hat - ref) > -_DROP_CUTOFF for some
+        coordinate.  None for a lump without nodes.
+
+        Along the z-line Re phi_hat(x0 + i sigma) rises up to sigma = s and
+        falls after it, for every row; along a lump's graph it falls up to
+        each column's saddle and rises after it.  So the run is seeded over
+        ``anchors`` (s, or the saddles' Re w) and the span earlier blocks
+        reached at any level, and grown at an end until that end's node
+        misses the cutoff by 1 for every coordinate: every node past it
+        misses it too, rounding included.
+        """
+        run = self._contour(level, k)
+        if run is None:
+            return None
+        h, pos = self.h, run.grid[0]
+        ends = [*anchors, *self._spans.get(k, ())]
+        lo = max(0, int(np.searchsorted(pos, min(ends), "right")) - 1)
+        hi = max(lo + 1, min(pos.size, int(np.searchsorted(pos, max(ends))) + 1))
+        make = functools.partial(self._nodes, k, run.grid)
+        while True:
+            run.cover(lo, hi, make)
+            lo, hi = run.lo, run.hi
+            b, l = (arr[[0, -1]] for arr in run.vals[2:])
+            score = sign * ((b[:, None] - (h * l)[:, None] * coords).real - refs)
+            grow = (np.max(score, axis=1) > -_DROP_CUTOFF - 1.0) & [lo > 0, hi < pos.size]
+            if not grow.any():
+                break
+            step = max(_GROW, hi - lo)
+            lo, hi = max(0, lo - grow[0] * step), min(pos.size, hi + grow[1] * step)
+        node, weight, b, l = run.vals
+        phi = b[:, None] - (h * l)[:, None] * coords[None, :]
+        # each row or column is referenced to its own saddle; a node stays if
+        # any of them needs it
+        above = sign * (phi.real - refs)
+        keep = np.any(above > -_DROP_CUTOFF, axis=1)
+        # the span reaches the nodes next to those within the margin, so a
+        # finer level seeded from it normally needs no growth
+        near = np.flatnonzero(np.max(above, axis=1) > -_DROP_CUTOFF - 1.0)
+        if near.size:
+            edge = pos[lo:hi][[max(near[0] - 1, 0), min(near[-1] + 1, hi - lo - 1)]]
+            span = self._spans.get(k, edge)
+            self._spans[k] = (min(span[0], edge[0]), max(span[1], edge[1]))
+        return node[keep], weight[keep], phi[keep]
 
     def _block(self, us: np.ndarray, vs: np.ndarray, level: int):
-        """Rows us x columns vs on the level's z-line and loop.
+        """Rows us x columns vs on the level's z-line and loop, summed
+        over the nodes that pass the drop test (see _kept).
 
         Returns the values, each row's imaginary residual and the node count.
         """
@@ -721,11 +818,7 @@ class RescaledKernelFrame:
         at = self._saddles_at((*us, *vs))
         ref_z = np.array([ref for _, ref in at[: us.size]])
         ref_w = np.array([ref for _, ref in at[us.size :]])
-        (sig, wsig, bz, lz), (wn, wst, bw, lw) = self._contour(level)
-        phi_z = bz[:, None] - (h * lz)[:, None] * us[None, :]
-        # each row is referenced to its own saddle; a node stays if any row needs it
-        keep = np.any(phi_z.real - ref_z > -_DROP_CUTOFF, axis=1)
-        sig, wsig, phi_z = sig[keep], wsig[keep], phi_z[keep]
+        sig, wsig, phi_z = self._kept(level, -1, us, ref_z, 1.0, [self._s])
         with np.errstate(under="ignore"):
             a = wsig[:, None] * np.exp(phi_z - ref_z)
 
@@ -733,9 +826,13 @@ class RescaledKernelFrame:
         du = us[:, None] - vs[None, :]
         a_blk = (theta / math.pi) * np.sinc(du * theta / math.pi)
 
-        phi_w = bw[:, None] - (h * lw)[:, None] * vs[None, :]
-        keep_w = np.any(ref_w[None, :] - phi_w.real > -_DROP_CUTOFF, axis=1)
-        wn, wst, phi_w = wn[keep_w], wst[keep_w], phi_w[keep_w]
+        xs = [z.real for z, _ in at[us.size :]]
+        parts = [
+            part
+            for k in range(len(self._lumps))
+            if (part := self._kept(level, k, vs, ref_w, -1.0, xs)) is not None
+        ]
+        wn, wst, phi_w = (np.concatenate(arrs) for arrs in zip(*parts))
         with np.errstate(under="ignore"):
             ew = np.exp(ref_w[None, :] - phi_w)
         q = wst[:, None] * ew

@@ -113,6 +113,19 @@ class TestQuadrature:
         with pytest.raises(NonConvergence, match=r"n=100, x=0\.0 differs between 30 and 50"):
             kernel_lagrange(ev, 0.0, 0.0)
 
+    def test_failed_check_reuses_the_higher_pass(self, monkeypatch):
+        # at n = 100, x = 0, 30 and 50 digits disagree and 50 and 70 agree:
+        # the second round computes only the 70-digit pass, checks it
+        # against the 50-digit pass it has, and stops at working digits 50
+        digits = []
+        at = kernel._at
+        monkeypatch.setattr(kernel, "_at", lambda d, compute: digits.append(d) or at(d, compute))
+        cfg = InitialConfiguration.from_quantiles(MeasureSpec.uniform(-1.0, 1.0), 100)
+        ev = KernelEvaluator(cfg, 0.5)
+        assert kernel_lagrange(ev, 0.0, 0.0) / 100 == pytest.approx(0.340652, abs=1e-6)
+        assert digits == [50, 30, 70]
+        assert ev.digits == 50
+
     @pytest.mark.parametrize(
         "n, t, eps", [(100, 0.0009, 0.03), (40, 0.06, 0.1)], ids=["gap-conf", "closing-gap-n40"]
     )
@@ -865,34 +878,40 @@ def test_frame_solves_new_saddles_in_one_inverse_call(monkeypatch):
 
 
 def _record_home_solves(frame, monkeypatch, home=True):
-    """Patch the frame to record, per level, the points its home grids (far
-    grids if not ``home``) ask for and the points of those grids it passes
-    to Newton.  Saddle solves pass points to Newton too, so callers solve
-    the grid's saddles first."""
-    asked, solved, level = {}, {}, [None, None]
-    grid, profile = frame._lump_grid, frame.state._y_profile
+    """Patch the frame to record, per level, the points its home lumps (far
+    lumps if not ``home``) ask the height store for, which are the stretches
+    of runs that blocks build, and the points of those it passes to Newton."""
+    asked, solved, level, mine = {}, {}, [None], [False]
+    contour, stored, profile = frame._contour, frame._stored_profile, frame.state._y_profile
 
-    def lump_grid(lo, hi, lev, is_home):
-        vx, mx = grid(lo, hi, lev, is_home)
-        level[:] = lev, is_home
-        if is_home == home:
-            asked[lev] = asked.get(lev, 0) + vx.size + mx.size
-        return vx, mx
+    def contour_at(lev, k):
+        level[0] = lev
+        return contour(lev, k)
+
+    def stored_profile(k, xs):
+        mine[0] = (k == frame._home) == home
+        if mine[0]:
+            asked[level[0]] = asked.get(level[0], 0) + xs.size
+        try:
+            return stored(k, xs)
+        finally:
+            mine[0] = False
 
     def y_profile(xs):
-        if level[1] == home:
+        if mine[0]:
             solved[level[0]] = solved.get(level[0], 0) + xs.size
         return profile(xs)
 
-    monkeypatch.setattr(frame, "_lump_grid", lump_grid)
+    monkeypatch.setattr(frame, "_contour", contour_at)
+    monkeypatch.setattr(frame, "_stored_profile", stored_profile)
     monkeypatch.setattr(frame.state, "_y_profile", y_profile)
     return asked, solved
 
 
 def test_home_heights_solved_once_across_levels(monkeypatch):
     # level l + 1's home vertices are level l's vertices and midpoints, so
-    # each level after the first reads back all of the level before but
-    # its two bridges
+    # the run a level after the first builds reads back the vertices that
+    # lie in the level before's run
     frame = _bulk_uniform_frame(100)
     grid = np.asarray(frame.window.u_grid)
     frame._saddles_at([0.0, *grid])
@@ -905,7 +924,9 @@ def test_home_heights_solved_once_across_levels(monkeypatch):
 def test_far_heights_solved_once_across_levels(monkeypatch):
     # a far lump's cosine grid at level l + 1 holds every vertex of level l;
     # the two-cluster frame's shared contour, through the right cluster,
-    # takes the left cluster's lump as a far one
+    # takes the left cluster's lump as a far one.  Its run there is its one
+    # node next to the right cluster, whose vertices are the level before's
+    # end vertex and last midpoint: both are read back
     frame = _two_cluster_frame()
     grid = np.linspace(-2.0, 2.0, 9)
     frame._saddles_at([0.0, *grid])
@@ -916,8 +937,9 @@ def test_far_heights_solved_once_across_levels(monkeypatch):
 
 
 def test_home_heights_reused_by_a_later_call(monkeypatch):
-    # new rows are summed on the levels the grid made: none of those levels
-    # is built again, so none passes a point to Newton
+    # new rows are summed on the levels the grid made: a lump's run depends
+    # on the columns alone, so none of those levels asks the height store
+    # for a point, and none passes one to Newton
     frame = _bulk_uniform_frame(100)
     grid = np.asarray(frame.window.u_grid)
     rows = np.array([-0.3, 0.1, 0.7])
@@ -970,9 +992,57 @@ def test_home_heights_match_a_cold_solve():
         for kx, ky in frame._heights.values():
             assert np.all(np.diff(kx) > 0.0)
             np.testing.assert_array_equal(ky, cold._y_profile(kx))
+    # the level-2 loop nodes the grid's blocks built
     cold = FreeConvolutionState(bulk.points, bulk.t)
-    wn = bulk._contour(2)[1][0]
+    wn = bulk._contour(2, bulk._home).vals[0]
+    assert wn.size
     np.testing.assert_array_equal(wn.imag, cold._y_profile(wn.real))
+
+
+@pytest.mark.parametrize(
+    "make_frame",
+    [lambda: _bulk_uniform_frame(200), _power_half_frame, _two_cluster_frame],
+    ids=["bulk-uniform-n200", "power-half-n50", "two-cluster"],
+)
+def test_nodes_past_the_built_runs_fail_the_drop_test(make_frame, monkeypatch):
+    # heights and B, L are built on one run of nodes per z-line and lump,
+    # grown until its end nodes miss the drop cutoff by 1.  After the window
+    # grid and the m = 16 Gauss grid, every level reached is rebuilt whole
+    # from cold heights: no node outside the runs passes either grid's test
+    frame = make_frame()
+    grids = [np.asarray(frame.window.u_grid), panel_nodes(np.array([-0.5, 0.5]), 16)[0]]
+    refs = [np.array([ref for _, ref in frame._saddles_at(tuple(g))]) for g in grids]
+    solved = []
+    profile = frame.state._y_profile
+    monkeypatch.setattr(frame.state, "_y_profile", lambda xs: solved.append(xs.size) or profile(xs))
+    for g in grids:
+        frame.values(g, g)
+    cold = FreeConvolutionState(frame.points, frame.t)
+    lumps, dropped = {}, 0
+    for (level, k), run in frame._runs.items():
+        if run is None:
+            continue
+        if k < 0:
+            pos = frame._z_line(level)[0]
+            q = frame.x0 + 1j * pos
+        else:
+            lo, hi = frame._lumps[k]
+            vx, pos = frame._lump_grid(lo, hi, level, k == frame._home)
+            lumps.setdefault(k, []).extend([vx, pos])
+            q = pos + 1j * cold._y_profile(pos)
+        np.testing.assert_array_equal(pos, run.grid[0])
+        outside = np.r_[0 : run.lo, run.hi : pos.size]
+        dropped += outside.size
+        b, l = frame._phi_parts(q[outside])
+        for g, ref in zip(grids, refs):
+            re_phi = (b[:, None] - (frame.h * l)[:, None] * g).real
+            above = re_phi - ref if k < 0 else ref - re_phi
+            assert not np.any(above > -kernel._DROP_CUTOFF), (level, k)
+    assert dropped > 0
+    if frame.n == 200:
+        # the full lump grids would each solve every distinct point once
+        full = sum(np.unique(np.concatenate(arrs)).size for arrs in lumps.values())
+        assert sum(solved) <= 0.3 * full, (sum(solved), full)
 
 
 def test_seeded_heights_take_few_newton_evaluations(monkeypatch):
